@@ -694,11 +694,11 @@ fn run_loss(args: &Args) {
 
 /// The fixed perf workload behind `BENCH_1.json`: steady-state forwarding
 /// decisions through one warmed [`gmp_core::DecisionScratch`] fronted by
-/// the [`gmp_core::TreeCache`] (the decision path as the router actually
-/// runs it), full multicast tasks through the simulator, and the
+/// a [`gmp_core::ConcurrentTreeCache`] (the decision path as the router
+/// actually runs it), full multicast tasks through the simulator, and the
 /// allocation counter sampled around the decision loop.
 fn run_bench(args: &Args) {
-    use gmp_core::{DecisionScratch, TreeCache};
+    use gmp_core::{ConcurrentTreeCache, DecisionScratch};
     use gmp_net::Topology;
     use gmp_sim::MulticastTask;
 
@@ -720,7 +720,7 @@ fn run_bench(args: &Args) {
         tasks.len()
     );
     let mut scratch = DecisionScratch::new();
-    let mut cache = TreeCache::new();
+    let cache = ConcurrentTreeCache::new();
     for _ in 0..2 {
         for t in &tasks {
             cache.group_destinations_cached(
@@ -764,9 +764,6 @@ fn run_bench(args: &Args) {
     let cache_hits = end_stats.hits - warm_stats.hits;
     let cache_misses = end_stats.misses - warm_stats.misses;
     let cache_fallbacks = end_stats.fallbacks - warm_stats.fallbacks;
-    let cache_evictions = end_stats.evictions - warm_stats.evictions;
-    let cache_epoch_flushes = end_stats.epoch_flushes - warm_stats.epoch_flushes;
-    let cache_pool_reused = end_stats.pool_reused - warm_stats.pool_reused;
     let cache_entries_live = end_stats.entries_live;
     let cache_hit_rate = ratio(cache_hits as f64, decisions as f64);
 
@@ -790,7 +787,7 @@ fn run_bench(args: &Args) {
     let wall_clock_s = wall_start.elapsed().as_secs_f64();
     let peak_rss_fields = gmp_bench::rss::peak_rss_json_fields();
     let json = format!(
-        "{{\n  \"schema\": \"gmp-bench/1\",\n  \"workload\": {{\n    \"nodes\": {},\n    \"topology_seed\": 1,\n    \"k_values\": [5, 15, 25],\n    \"decision_samples\": {decisions},\n    \"task_samples\": {task_count}\n  }},\n  \"decisions_per_sec\": {decisions_per_sec:.1},\n  \"tasks_per_sec\": {tasks_per_sec:.1},\n  \"wall_clock_s\": {wall_clock_s:.3},\n  \"allocs_per_decision\": {allocs_per_decision:.4},\n  {peak_rss_fields},\n  \"decision_cache\": {{\n    \"hits\": {cache_hits},\n    \"misses\": {cache_misses},\n    \"fallbacks\": {cache_fallbacks},\n    \"evictions\": {cache_evictions},\n    \"epoch_flushes\": {cache_epoch_flushes},\n    \"entries_live\": {cache_entries_live},\n    \"pool_reused\": {cache_pool_reused},\n    \"hit_rate\": {cache_hit_rate:.4}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"gmp-bench/1\",\n  \"workload\": {{\n    \"nodes\": {},\n    \"topology_seed\": 1,\n    \"k_values\": [5, 15, 25],\n    \"decision_samples\": {decisions},\n    \"task_samples\": {task_count}\n  }},\n  \"decisions_per_sec\": {decisions_per_sec:.1},\n  \"tasks_per_sec\": {tasks_per_sec:.1},\n  \"wall_clock_s\": {wall_clock_s:.3},\n  \"allocs_per_decision\": {allocs_per_decision:.4},\n  {peak_rss_fields},\n  \"decision_cache\": {{\n    \"hits\": {cache_hits},\n    \"misses\": {cache_misses},\n    \"fallbacks\": {cache_fallbacks},\n    \"entries_live\": {cache_entries_live},\n    \"hit_rate\": {cache_hit_rate:.4}\n  }}\n}}\n",
         config.node_count,
     );
     print!("{json}");
@@ -875,14 +872,11 @@ fn run_bench2(args: &Args) {
     let [off, on] = measured;
     let cache_json = |s: gmp_core::CacheStats| {
         format!(
-            "{{ \"hits\": {}, \"misses\": {}, \"fallbacks\": {}, \"evictions\": {}, \"epoch_flushes\": {}, \"entries_live\": {}, \"pool_reused\": {}, \"hit_rate\": {:.4} }}",
+            "{{ \"hits\": {}, \"misses\": {}, \"fallbacks\": {}, \"entries_live\": {}, \"hit_rate\": {:.4} }}",
             s.hits,
             s.misses,
             s.fallbacks,
-            s.evictions,
-            s.epoch_flushes,
             s.entries_live,
-            s.pool_reused,
             s.hit_rate()
         )
     };
@@ -1119,8 +1113,7 @@ fn run_service(args: &Args) {
              \"speedup\": {}, \"parallel_scaling\": {}, \"allocs_per_session\": {}, \
              \"steady_alloc_drift\": {}, \
              \"reports_match\": {}, \"decision_cache\": {{ \"hits\": {}, \"misses\": {}, \
-             \"fallbacks\": {}, \"evictions\": {}, \"epoch_flushes\": {}, \"entries_live\": {}, \
-             \"pool_reused\": {}, \"hit_rate\": {:.4} }} }}{}\n",
+             \"fallbacks\": {}, \"entries_live\": {}, \"hit_rate\": {:.4} }} }}{}\n",
             p.topology,
             p.nodes,
             p.sessions,
@@ -1149,10 +1142,7 @@ fn run_service(args: &Args) {
             p.cache.hits,
             p.cache.misses,
             p.cache.fallbacks,
-            p.cache.evictions,
-            p.cache.epoch_flushes,
             p.cache.entries_live,
-            p.cache.pool_reused,
             p.cache.hit_rate(),
             if i + 1 < points.len() { "," } else { "" },
         ));

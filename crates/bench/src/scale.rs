@@ -18,13 +18,13 @@
 //!   counts; the headline flatness gate compares `decisions_per_sec`
 //!   between scale points;
 //! * the decision-path probe reuses the `BENCH_1` methodology (warmed
-//!   [`gmp_core::TreeCache`] + [`gmp_core::DecisionScratch`]) on one
+//!   [`gmp_core::ConcurrentTreeCache`] + [`gmp_core::DecisionScratch`]) on one
 //!   region, with an allocation counter hook so the binary can assert the
 //!   zero-alloc steady state at every scale point.
 
 use std::time::Instant;
 
-use gmp_core::{DecisionScratch, GmpRouter, TreeCache};
+use gmp_core::{ConcurrentTreeCache, DecisionScratch, GmpRouter};
 use gmp_geom::{Aabb, Point};
 use gmp_net::{ShardConfig, ShardedTopology};
 use gmp_sim::{MulticastTask, RegionSim, SimConfig, SimScratch, TaskRunner};
@@ -205,8 +205,8 @@ fn decision_probe(
         .map(|t| sim.random_task(k, task_seed(54_321, t)))
         .collect();
     let mut scratch = DecisionScratch::new();
-    let mut cache = TreeCache::new();
-    let run_pass = |scratch: &mut DecisionScratch, cache: &mut TreeCache| {
+    let cache = ConcurrentTreeCache::new();
+    let run_pass = |scratch: &mut DecisionScratch| {
         let mut covered = 0usize;
         for t in &tasks {
             let g = cache.group_destinations_cached(
@@ -223,14 +223,14 @@ fn decision_probe(
         covered
     };
     for _ in 0..2 {
-        run_pass(&mut scratch, &mut cache);
+        run_pass(&mut scratch);
     }
     let rounds = 200usize;
     let allocs_before = alloc_counter.map(|f| f());
     let t0 = Instant::now();
     let mut covered = 0usize;
     for _ in 0..rounds {
-        covered += run_pass(&mut scratch, &mut cache);
+        covered += run_pass(&mut scratch);
     }
     let secs = t0.elapsed().as_secs_f64();
     assert!(covered > 0, "decision probe routed nothing");

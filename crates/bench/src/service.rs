@@ -463,10 +463,7 @@ fn sum_cache(a: CacheStats, b: CacheStats) -> CacheStats {
         hits: a.hits + b.hits,
         misses: a.misses + b.misses,
         fallbacks: a.fallbacks + b.fallbacks,
-        evictions: a.evictions + b.evictions,
-        epoch_flushes: a.epoch_flushes + b.epoch_flushes,
         entries_live: a.entries_live + b.entries_live,
-        pool_reused: a.pool_reused + b.pool_reused,
     }
 }
 

@@ -1,5 +1,6 @@
-//! Satellite of the decision cache: a *populated* [`gmp_core::TreeCache`]
-//! must never change a [`TaskReport`] bit-for-bit against a cold one.
+//! Satellite of the decision cache: a *populated*
+//! [`gmp_core::ConcurrentTreeCache`] must never change a [`TaskReport`]
+//! bit-for-bit against a cold one, nor against no cache at all.
 //!
 //! The harness runs every protocol twice over the same (config, task,
 //! seed) matrix: **cold** — a fresh router per run, so GMP's decision
@@ -142,17 +143,17 @@ proptest! {
     }
 }
 
-/// The concurrent cache substituted for the private one: a
-/// [`gmp_core::ConcurrentTreeCache`] shared across the whole
+/// One [`gmp_core::ConcurrentTreeCache`] shared across the whole
 /// config × task matrix (including the faulted rounds, whose flipped
 /// liveness bits must be rejected by the exact-input check and served
-/// fresh) never changes a GMP report bit-for-bit against the cold
-/// private-cache router.
+/// fresh) never changes a GMP report bit-for-bit against an uncached
+/// router — one whose cache has capacity 0, the `GMP_CACHE_CAPACITY=0`
+/// off-switch — which in turn must never serve a hit.
 #[test]
 fn shared_concurrent_cache_never_changes_reports() {
     use std::sync::Arc;
 
-    use gmp_core::{CacheConfig, ConcurrentTreeCache};
+    use gmp_core::{CacheConfig, ConcurrentTreeCache, GmpConfig};
 
     let node_count = 300;
     let seed_config = SimConfig::paper().with_node_count(node_count);
@@ -162,16 +163,21 @@ fn shared_concurrent_cache_never_changes_reports() {
         .collect();
 
     let cache = Arc::new(ConcurrentTreeCache::with_config(CacheConfig::default()));
+    let off = Arc::new(ConcurrentTreeCache::with_config(CacheConfig {
+        capacity: 0,
+        ..CacheConfig::default()
+    }));
     let mut cold_scratch = SimScratch::new();
     let mut warm_scratch = SimScratch::new();
     // Two passes over the matrix: the second replays every task against a
     // cache fully populated by the first, so warm hits (not just misses)
-    // are compared against the cold router.
+    // are compared against the uncached router.
     for pass in 0..2 {
         for (config_name, config) in configs(node_count) {
             let runner = TaskRunner::new(&topo, &config);
             for (task_i, task) in tasks.iter().enumerate() {
-                let mut cold = GmpRouter::new();
+                let mut cold =
+                    GmpRouter::with_config_and_shared_cache(GmpConfig::default(), Arc::clone(&off));
                 let cold_report = runner.run_with_scratch(&mut cold, task, 3, &mut cold_scratch);
                 let mut shared = GmpRouter::with_shared_cache(Arc::clone(&cache));
                 let shared_report =
@@ -193,6 +199,18 @@ fn shared_concurrent_cache_never_changes_reports() {
         stats.fallbacks, 0,
         "exact verification must never fail: {stats:?}"
     );
+    let off = off.stats();
+    assert_eq!(
+        (off.hits, off.fallbacks),
+        (0, 0),
+        "capacity 0 cached: {off:?}"
+    );
+    assert_eq!(
+        off.misses,
+        stats.lookups(),
+        "one uncached decision per lookup"
+    );
+    assert_eq!(off.entries_live, 0);
 }
 
 #[test]

@@ -4,8 +4,8 @@
 //! tree over the packet's remaining destination set and regroups from
 //! scratch (Figure 7). Consecutive hops therefore repeat nearly identical
 //! work — same destination set, same neighborhood geometry — and the
-//! simulator replays whole tasks thousands of times. [`TreeCache`]
-//! exploits that: it memoizes the *outcome* of
+//! simulator replays whole tasks thousands of times.
+//! [`ConcurrentTreeCache`] exploits that: it memoizes the *outcome* of
 //! [`DecisionScratch::group_destinations_into`] keyed by a fingerprint of
 //! the decision inputs, and serves a stored [`Grouping`] instead of
 //! rebuilding the tree.
@@ -24,9 +24,8 @@
 //!
 //! A verification failure (hash collision, a node's liveness flipped by a
 //! fault plan, even a different topology behind the same ids) falls back
-//! to a full rebuild and replaces the entry in place — this is how
-//! `gmp-faults` liveness changes invalidate affected entries without any
-//! out-of-band notification.
+//! to a full rebuild — this is how `gmp-faults` liveness changes
+//! invalidate affected entries without any out-of-band notification.
 //!
 //! The liveness bits are *normalized*: a `None` view and an all-`true`
 //! slice store identical bits. That is sound because the grouping's only
@@ -39,29 +38,30 @@
 //! *additionally* recomputes the decision and asserts the stored grouping
 //! matches — the belt-and-braces mode the parity tests run under.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 
-use crate::grouping::{copy_grouping_into, DecisionScratch, Grouping};
+use crate::grouping::{DecisionScratch, Grouping};
 
-/// Tuning knobs for [`TreeCache`]. These affect only speed, never
-/// outcomes: capacity bounds memory, the quantum only shapes the lookup
-/// fingerprint (the exact validity check is unconditional).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Position quantization step of the lookup fingerprint, meters. It only
+/// shapes which probe a decision lands under: the exact validity check
+/// rejects any false merge, so it can never change an outcome.
+const QUANTUM: f64 = 1e-3;
+
+/// Probe window width: a fingerprint may land in any of this many
+/// consecutive slots.
+const WAYS: usize = 4;
+
+/// Tuning knobs for [`ConcurrentTreeCache`]. These affect only speed and
+/// memory, never outcomes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
-    /// Maximum number of stored decisions before an epoch flush
-    /// (`GMP_CACHE_CAPACITY`).
+    /// Decisions the table can hold, rounded up to a power of two of at
+    /// least 4; `0` disables caching (`GMP_CACHE_CAPACITY`).
     pub capacity: usize,
-    /// Position quantization step for the fingerprint, meters
-    /// (`GMP_CACHE_QUANTUM`). Coarser buckets more near-identical
-    /// geometries onto the same probe; the exact check rejects any
-    /// false merge, so this trades hash spread against lookup hits.
-    pub quantum: f64,
     /// Recompute-and-compare every hit (`GMP_CACHE_PARANOID`).
     pub paranoid: bool,
 }
@@ -70,17 +70,15 @@ impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
             capacity: 8192,
-            quantum: 1e-3,
             paranoid: false,
         }
     }
 }
 
 impl CacheConfig {
-    /// The defaults with any `GMP_CACHE_CAPACITY` / `GMP_CACHE_QUANTUM` /
-    /// `GMP_CACHE_PARANOID` environment overrides applied. Unparsable or
-    /// out-of-range values fall back to the defaults with a warning on
-    /// stderr — never a panic.
+    /// The defaults with any `GMP_CACHE_CAPACITY` / `GMP_CACHE_PARANOID`
+    /// environment overrides applied. Unparsable values fall back to the
+    /// defaults with a warning on stderr — never a panic.
     pub fn from_env() -> Self {
         let (config, warnings) = CacheConfig::from_lookup(|key| std::env::var(key).ok());
         for w in &warnings {
@@ -100,22 +98,9 @@ impl CacheConfig {
             &lookup,
             "GMP_CACHE_CAPACITY",
             config.capacity,
-            "is not a positive integer",
+            "is not a non-negative integer",
             &format!("default {}", config.capacity),
-            |raw| raw.parse::<usize>().ok().filter(|&cap| cap > 0),
-            &mut warnings,
-        );
-        config.quantum = gmp_sim::env_knob(
-            &lookup,
-            "GMP_CACHE_QUANTUM",
-            config.quantum,
-            "is not a positive finite number",
-            &format!("default {}", config.quantum),
-            |raw| {
-                raw.parse::<f64>()
-                    .ok()
-                    .filter(|&q| q.is_finite() && q > 0.0)
-            },
+            |raw| raw.parse::<usize>().ok(),
             &mut warnings,
         );
         // Any value but "0" enables paranoid mode — no malformed case, by
@@ -133,22 +118,15 @@ pub struct CacheStats {
     /// Lookups served from a stored, fully verified entry.
     pub hits: u64,
     /// Lookups with no stored entry under the fingerprint: computed
-    /// fresh, then stored.
+    /// fresh, then stored if the probe window had room.
     pub misses: u64,
-    /// Lookups whose stored entry failed the exact validity check
-    /// (liveness flip, hash collision, changed geometry): computed fresh,
-    /// entry replaced.
+    /// Lookups whose stored entry under the fingerprint failed the exact
+    /// validity check (liveness flip, hash collision, changed geometry):
+    /// computed fresh.
     pub fallbacks: u64,
-    /// Entries discarded by capacity epoch flushes.
-    pub evictions: u64,
-    /// Capacity epoch flushes performed (each discards every entry).
-    pub epoch_flushes: u64,
     /// Decisions currently stored — an occupancy snapshot taken by
-    /// [`TreeCache::stats`], not a running counter.
+    /// [`ConcurrentTreeCache::stats`], not a running counter.
     pub entries_live: u64,
-    /// Inserts that recycled a flushed entry (and its vectors) from the
-    /// free list instead of allocating a fresh one.
-    pub pool_reused: u64,
 }
 
 impl CacheStats {
@@ -168,9 +146,13 @@ impl CacheStats {
     }
 }
 
-/// One memoized decision: every exact input plus the resulting grouping.
-#[derive(Debug, Clone, Default)]
+/// One published decision: its lookup fingerprint, every exact input, and
+/// the resulting grouping. Immutable once published; boxed so the slot
+/// table holds one pointer per slot and publication is a single atomic
+/// install.
+#[derive(Debug)]
 struct CacheEntry {
+    fp: u64,
     node: NodeId,
     node_pos: Point,
     radio_range: f64,
@@ -184,33 +166,16 @@ struct CacheEntry {
     grouping: Grouping,
 }
 
-/// Trivial pass-through hasher: the map key already *is* the mixed
-/// fingerprint, so rehashing it through SipHash would only burn cycles.
-#[derive(Debug, Clone, Copy, Default)]
-struct FingerprintHasher(u64);
-
-impl Hasher for FingerprintHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = mix(self.0, b as u64);
-        }
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = mix(self.0, v);
-    }
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct FingerprintBuild;
-
-impl BuildHasher for FingerprintBuild {
-    type Hasher = FingerprintHasher;
-    fn build_hasher(&self) -> FingerprintHasher {
-        FingerprintHasher::default()
-    }
+/// The inputs of one forwarding decision, bundled so the fingerprint, the
+/// exact check, the recompute and the stored entry all read the same
+/// values.
+struct Decision<'a> {
+    topo: &'a Topology,
+    node: NodeId,
+    dests: &'a [NodeId],
+    radio_range_aware: bool,
+    perimeter_entry: Option<Point>,
+    alive: Option<&'a [bool]>,
 }
 
 /// One FxHash-style mixing step (rotate, xor, multiply by a large odd
@@ -225,404 +190,153 @@ fn point_bits_eq(a: Point, b: Point) -> bool {
     a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
 }
 
-#[inline]
-fn entry_bits_eq(a: Option<Point>, b: Option<Point>) -> bool {
-    match (a, b) {
-        (None, None) => true,
-        (Some(p), Some(q)) => point_bits_eq(p, q),
-        _ => false,
+impl Decision<'_> {
+    /// The normalized liveness bit for one neighbor (see the module docs
+    /// for why `None` and all-`true` may share it).
+    #[inline]
+    fn alive_bit(&self, n: NodeId) -> bool {
+        self.alive.is_none_or(|a| a[n.index()])
+    }
+
+    /// The uncached decision, computed into `scratch`.
+    fn compute_into(&self, scratch: &mut DecisionScratch) {
+        scratch.group_destinations_into(
+            self.topo,
+            self.node,
+            self.dests,
+            self.radio_range_aware,
+            self.perimeter_entry,
+            self.alive,
+        );
+    }
+
+    /// The lookup fingerprint: node id, flags, and *quantized* positions
+    /// mixed into 64 bits. Only a probe — every served decision is
+    /// re-verified against exact inputs.
+    fn fingerprint(&self) -> u64 {
+        let quant = |c: f64| (c * (1.0 / QUANTUM)).round() as i64 as u64;
+        let topo = self.topo;
+        let mut h = mix(0x9e37_79b9_7f4a_7c15, self.node.0 as u64);
+        h = mix(h, self.radio_range_aware as u64);
+        let here = topo.pos(self.node);
+        h = mix(h, quant(here.x));
+        h = mix(h, quant(here.y));
+        match self.perimeter_entry {
+            Some(e) => {
+                h = mix(h, 1);
+                h = mix(h, quant(e.x));
+                h = mix(h, quant(e.y));
+            }
+            None => h = mix(h, 2),
+        }
+        for &d in self.dests {
+            let p = topo.pos(d);
+            h = mix(h, d.0 as u64);
+            h = mix(h, quant(p.x));
+            h = mix(h, quant(p.y));
+        }
+        // Normalized per-neighbor liveness, folded in as a running bit
+        // string so dead-neighbor variants get their own probe.
+        let mut bits = 1u64;
+        for &n in topo.neighbors(self.node) {
+            bits = (bits << 1) | self.alive_bit(n) as u64;
+            if bits >> 63 == 1 {
+                h = mix(h, bits);
+                bits = 1;
+            }
+        }
+        mix(h, bits)
+    }
+
+    /// The exact-input validity check: `true` iff recomputing this
+    /// decision is guaranteed to reproduce `entry.grouping` (every value
+    /// the decision reads is compared, positions by bit pattern).
+    fn matches(&self, entry: &CacheEntry) -> bool {
+        let topo = self.topo;
+        let entry_eq = match (entry.perimeter_entry, self.perimeter_entry) {
+            (None, None) => true,
+            (Some(p), Some(q)) => point_bits_eq(p, q),
+            _ => false,
+        };
+        entry.node == self.node
+            && entry.rra == self.radio_range_aware
+            && entry.radio_range.to_bits() == topo.radio_range().to_bits()
+            && point_bits_eq(entry.node_pos, topo.pos(self.node))
+            && entry_eq
+            && entry.dests == self.dests
+            && entry
+                .dest_pos
+                .iter()
+                .zip(self.dests)
+                .all(|(&p, &d)| point_bits_eq(p, topo.pos(d)))
+            && entry.neighbors == topo.neighbors(self.node)
+            && entry
+                .neighbor_pos
+                .iter()
+                .zip(&entry.neighbors)
+                .all(|(&p, &n)| point_bits_eq(p, topo.pos(n)))
+            && entry
+                .neighbor_alive
+                .iter()
+                .zip(&entry.neighbors)
+                .all(|(&bit, &n)| bit == self.alive_bit(n))
+    }
+
+    /// A publishable entry recording this decision's exact inputs and its
+    /// freshly computed `grouping`.
+    fn entry(&self, fp: u64, grouping: &Grouping) -> Box<CacheEntry> {
+        let topo = self.topo;
+        let neighbors = topo.neighbors(self.node);
+        Box::new(CacheEntry {
+            fp,
+            node: self.node,
+            node_pos: topo.pos(self.node),
+            radio_range: topo.radio_range(),
+            rra: self.radio_range_aware,
+            perimeter_entry: self.perimeter_entry,
+            dests: self.dests.to_vec(),
+            dest_pos: self.dests.iter().map(|&d| topo.pos(d)).collect(),
+            neighbors: neighbors.to_vec(),
+            neighbor_pos: neighbors.iter().map(|&n| topo.pos(n)).collect(),
+            neighbor_alive: neighbors.iter().map(|&n| self.alive_bit(n)).collect(),
+            grouping: grouping.clone(),
+        })
     }
 }
 
-/// The normalized liveness bit for one neighbor (see the module docs for
-/// why `None` and all-`true` may share it).
-#[inline]
-fn alive_bit(alive: Option<&[bool]>, n: NodeId) -> bool {
-    alive.is_none_or(|a| a[n.index()])
-}
-
-/// Memoizes forwarding decisions across hops (and across simulated
-/// tasks, which replay the same decisions thousands of times in the
-/// benchmarks).
+/// The decision cache: one warm memo of forwarding decisions, owned by a
+/// single router or shared by every router of a multi-worker engine.
 ///
 /// The cache owns no scratch of its own: results are always materialized
 /// into the caller's [`DecisionScratch`], so downstream code (the emit
 /// step, which mutates the grouping in place) is oblivious to whether the
 /// decision was computed or served.
-#[derive(Debug, Clone)]
-pub struct TreeCache {
-    config: CacheConfig,
-    /// `1 / quantum`, precomputed for the fingerprint loop.
-    inv_quantum: f64,
-    /// Fingerprint → index into `entries`. On the (astronomically rare)
-    /// fingerprint collision between distinct keys, the exact check
-    /// rejects the resident entry and the loser recomputes + replaces —
-    /// correct either way.
-    map: HashMap<u64, u32, FingerprintBuild>,
-    entries: Vec<CacheEntry>,
-    /// Flushed entries recycled on insert, so steady-state epochs reuse
-    /// their vectors instead of reallocating.
-    free: Vec<CacheEntry>,
-    /// Group-vector pool for entry replacement (the scratch has its own).
-    pool: Vec<Vec<NodeId>>,
-    stats: CacheStats,
-}
-
-impl Default for TreeCache {
-    fn default() -> Self {
-        TreeCache::new()
-    }
-}
-
-impl TreeCache {
-    /// A cache with the environment-tuned configuration
-    /// ([`CacheConfig::from_env`]).
-    pub fn new() -> Self {
-        TreeCache::with_config(CacheConfig::from_env())
-    }
-
-    /// A cache with an explicit configuration.
-    pub fn with_config(config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be positive");
-        assert!(
-            config.quantum.is_finite() && config.quantum > 0.0,
-            "cache quantum must be positive"
-        );
-        TreeCache {
-            config,
-            inv_quantum: 1.0 / config.quantum,
-            map: HashMap::default(),
-            entries: Vec::new(),
-            free: Vec::new(),
-            pool: Vec::new(),
-            stats: CacheStats::default(),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> CacheConfig {
-        self.config
-    }
-
-    /// Behaviour counters since construction (flushes don't reset them),
-    /// with the live-occupancy snapshot filled in.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            entries_live: self.entries.len() as u64,
-            ..self.stats
-        }
-    }
-
-    /// Number of currently stored decisions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no decisions are stored.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// [`DecisionScratch::group_destinations_into`] through the cache:
-    /// serves a stored grouping when every exact input matches, computes
-    /// (and stores) it otherwise. The result always lives in `scratch`,
-    /// bit-identical to what the direct call would leave there.
-    #[allow(clippy::too_many_arguments)]
-    pub fn group_destinations_cached<'a>(
-        &mut self,
-        scratch: &'a mut DecisionScratch,
-        topo: &Topology,
-        node: NodeId,
-        dests: &[NodeId],
-        radio_range_aware: bool,
-        perimeter_entry: Option<Point>,
-        alive: Option<&[bool]>,
-    ) -> &'a Grouping {
-        let fp = self.fingerprint(topo, node, dests, radio_range_aware, perimeter_entry, alive);
-        if let Some(&slot) = self.map.get(&fp) {
-            let entry = &self.entries[slot as usize];
-            if entry_matches(
-                entry,
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            ) {
-                self.stats.hits += 1;
-                if self.config.paranoid {
-                    // Recompute-and-compare mode: the recomputed grouping
-                    // is returned (it is asserted identical, so the
-                    // choice is immaterial).
-                    scratch.group_destinations_into(
-                        topo,
-                        node,
-                        dests,
-                        radio_range_aware,
-                        perimeter_entry,
-                        alive,
-                    );
-                    assert_eq!(
-                        scratch.grouping_ref(),
-                        &entry.grouping,
-                        "paranoid cache check failed at node {node} for {dests:?}"
-                    );
-                } else {
-                    scratch.load_grouping(&entry.grouping);
-                }
-                return scratch.grouping_ref();
-            }
-            // Exact check failed: the inputs changed under this
-            // fingerprint (liveness flip, collision…). Recompute and
-            // replace the resident entry in place.
-            self.stats.fallbacks += 1;
-            scratch.group_destinations_into(
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            );
-            let entry = &mut self.entries[slot as usize];
-            fill_entry(
-                entry,
-                &mut self.pool,
-                scratch.grouping_ref(),
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            );
-            return scratch.grouping_ref();
-        }
-
-        self.stats.misses += 1;
-        scratch.group_destinations_into(
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        );
-        if self.entries.len() >= self.config.capacity {
-            // Epoch flush: deterministic, wholesale, and cheap — the
-            // entries (and their vectors) move to the free list for
-            // reuse. An LRU chain would save refills but put its
-            // bookkeeping on every lookup; the benches' working sets fit
-            // the default capacity comfortably (see DESIGN.md).
-            self.stats.evictions += self.entries.len() as u64;
-            self.stats.epoch_flushes += 1;
-            self.map.clear();
-            self.free.append(&mut self.entries);
-        }
-        let mut entry = match self.free.pop() {
-            Some(recycled) => {
-                self.stats.pool_reused += 1;
-                recycled
-            }
-            None => CacheEntry::default(),
-        };
-        fill_entry(
-            &mut entry,
-            &mut self.pool,
-            scratch.grouping_ref(),
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        );
-        let slot = self.entries.len() as u32;
-        self.entries.push(entry);
-        self.map.insert(fp, slot);
-        scratch.grouping_ref()
-    }
-
-    /// The lookup fingerprint (see [`fingerprint_with`]).
-    fn fingerprint(
-        &self,
-        topo: &Topology,
-        node: NodeId,
-        dests: &[NodeId],
-        radio_range_aware: bool,
-        perimeter_entry: Option<Point>,
-        alive: Option<&[bool]>,
-    ) -> u64 {
-        fingerprint_with(
-            self.inv_quantum,
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        )
-    }
-}
-
-/// The lookup fingerprint: node id, flags, and *quantized* positions
-/// mixed into 64 bits. Only a probe — every served decision is
-/// re-verified against exact inputs. Shared by [`TreeCache`] and
-/// [`ConcurrentTreeCache`] so a private and a shared cache agree on
-/// which probe a decision lands under.
-fn fingerprint_with(
-    inv_quantum: f64,
-    topo: &Topology,
-    node: NodeId,
-    dests: &[NodeId],
-    radio_range_aware: bool,
-    perimeter_entry: Option<Point>,
-    alive: Option<&[bool]>,
-) -> u64 {
-    let quant = |c: f64| (c * inv_quantum).round() as i64 as u64;
-    let mut h = mix(0x9e37_79b9_7f4a_7c15, node.0 as u64);
-    h = mix(h, radio_range_aware as u64);
-    let here = topo.pos(node);
-    h = mix(h, quant(here.x));
-    h = mix(h, quant(here.y));
-    match perimeter_entry {
-        Some(e) => {
-            h = mix(h, 1);
-            h = mix(h, quant(e.x));
-            h = mix(h, quant(e.y));
-        }
-        None => h = mix(h, 2),
-    }
-    for &d in dests {
-        let p = topo.pos(d);
-        h = mix(h, d.0 as u64);
-        h = mix(h, quant(p.x));
-        h = mix(h, quant(p.y));
-    }
-    // Normalized per-neighbor liveness, folded in as a running bit
-    // string so dead-neighbor variants get their own probe.
-    let mut bits = 1u64;
-    for &n in topo.neighbors(node) {
-        bits = (bits << 1) | alive_bit(alive, n) as u64;
-        if bits >> 63 == 1 {
-            h = mix(h, bits);
-            bits = 1;
-        }
-    }
-    mix(h, bits)
-}
-
-/// The exact-input validity check: `true` iff recomputing from these
-/// arguments is guaranteed to reproduce `entry.grouping` (every value the
-/// decision reads is compared, positions by bit pattern).
-fn entry_matches(
-    entry: &CacheEntry,
-    topo: &Topology,
-    node: NodeId,
-    dests: &[NodeId],
-    radio_range_aware: bool,
-    perimeter_entry: Option<Point>,
-    alive: Option<&[bool]>,
-) -> bool {
-    entry.node == node
-        && entry.rra == radio_range_aware
-        && entry.radio_range.to_bits() == topo.radio_range().to_bits()
-        && point_bits_eq(entry.node_pos, topo.pos(node))
-        && entry_bits_eq(entry.perimeter_entry, perimeter_entry)
-        && entry.dests == dests
-        && entry
-            .dest_pos
-            .iter()
-            .zip(dests)
-            .all(|(&p, &d)| point_bits_eq(p, topo.pos(d)))
-        && entry.neighbors == topo.neighbors(node)
-        && entry
-            .neighbor_pos
-            .iter()
-            .zip(&entry.neighbors)
-            .all(|(&p, &n)| point_bits_eq(p, topo.pos(n)))
-        && entry
-            .neighbor_alive
-            .iter()
-            .zip(&entry.neighbors)
-            .all(|(&bit, &n)| bit == alive_bit(alive, n))
-}
-
-/// (Re)populates `entry` from the decision's exact inputs and freshly
-/// computed `grouping`, reusing its existing vectors.
-#[allow(clippy::too_many_arguments)]
-fn fill_entry(
-    entry: &mut CacheEntry,
-    pool: &mut Vec<Vec<NodeId>>,
-    grouping: &Grouping,
-    topo: &Topology,
-    node: NodeId,
-    dests: &[NodeId],
-    radio_range_aware: bool,
-    perimeter_entry: Option<Point>,
-    alive: Option<&[bool]>,
-) {
-    entry.node = node;
-    entry.node_pos = topo.pos(node);
-    entry.radio_range = topo.radio_range();
-    entry.rra = radio_range_aware;
-    entry.perimeter_entry = perimeter_entry;
-    entry.dests.clear();
-    entry.dests.extend_from_slice(dests);
-    entry.dest_pos.clear();
-    entry.dest_pos.extend(dests.iter().map(|&d| topo.pos(d)));
-    entry.neighbors.clear();
-    entry.neighbors.extend_from_slice(topo.neighbors(node));
-    entry.neighbor_pos.clear();
-    entry
-        .neighbor_pos
-        .extend(entry.neighbors.iter().map(|&n| topo.pos(n)));
-    entry.neighbor_alive.clear();
-    entry
-        .neighbor_alive
-        .extend(entry.neighbors.iter().map(|&n| alive_bit(alive, n)));
-    copy_grouping_into(grouping, &mut entry.grouping, pool);
-}
-
-/// Probe window width of [`ConcurrentTreeCache`]: a fingerprint may land
-/// in any of this many consecutive slots.
-const WAYS: usize = 4;
-
-/// An immutable published decision: the fingerprint tag plus the full
-/// exact-input entry. Boxed so the slot table holds one pointer per slot
-/// and publication is a single atomic pointer install.
-#[derive(Debug)]
-struct PublishedEntry {
-    fp: u64,
-    entry: CacheEntry,
-}
-
-/// A thread-shared variant of [`TreeCache`] for the multi-worker session
-/// engine: one warm decision cache serving every worker instead of N
-/// cold private ones duplicating the same misses.
 ///
 /// # Design
 ///
 /// The table is a fixed power-of-two array of `OnceLock` slots, each
 /// holding at most one immutable published decision. A lookup probes the
-/// [`WAYS`]-slot window starting at the fingerprint's bucket; reading a
-/// slot is [`OnceLock::get`] — one atomic load on the hot path, no lock,
-/// no bus traffic beyond the counters. A miss computes the decision in
-/// the caller's scratch (exactly as the private cache would) and then
-/// *publishes* it into the first empty slot in the window via
-/// [`OnceLock::set`]; the first writer wins and entries are never
-/// mutated or evicted afterwards. Stats are relaxed atomics.
+/// 4-slot window starting at the fingerprint's bucket; reading a slot is
+/// [`OnceLock::get`] — one atomic load on the hot path, no lock, no bus
+/// traffic beyond the counters. A miss computes the decision in the
+/// caller's scratch and then *publishes* it into the first empty slot in
+/// the window via [`OnceLock::set`]; the first writer wins and entries
+/// are never mutated or evicted afterwards. Stats are relaxed atomics.
+///
+/// There is no eviction: if a window is full, the decision is recomputed
+/// each time (counted as a miss) — eviction under concurrency would need
+/// entry reclamation, and the bench working sets fit the default
+/// capacity comfortably. A capacity of `0` builds an empty table: every
+/// lookup computes straight into the scratch and counts as a miss.
 ///
 /// # Why sharing cannot change outcomes
 ///
-/// Served entries pass the same [`entry_matches`] exact-input
-/// verification as the private cache: every value the decision reads is
-/// compared bitwise before the stored grouping is served, so a hit is
-/// *proven* equal to recomputation no matter which thread published the
-/// entry or when. The only cross-thread effect is whether a given lookup
-/// is a hit or a recompute — two paths that are bit-identical by the
-/// cache's core contract (pinned by `cache_parity`).
+/// Every served entry passes the exact-input verification: every value
+/// the decision reads is compared bitwise before the stored grouping is
+/// served, so a hit is *proven* equal to recomputation no matter which
+/// thread published the entry or when. The only cross-thread effect is
+/// whether a given lookup is a hit or a recompute — two paths that are
+/// bit-identical by the cache's core contract (pinned by `cache_parity`).
 ///
 /// # Why warmed lookups stay allocation-free
 ///
@@ -633,19 +347,12 @@ struct PublishedEntry {
 /// subsequent replays take the `get`-verify-serve path exclusively —
 /// zero allocations, regardless of worker count or interleaving. The
 /// `steady_alloc_drift` certificate in BENCH_5 measures exactly this.
-///
-/// Capacity beyond `config.capacity.next_power_of_two()` is handled by
-/// *not storing*: if a window is full, the decision is recomputed each
-/// time (counted as a miss) rather than evicting — eviction under
-/// concurrency would need entry reclamation, and the bench working sets
-/// fit the default capacity comfortably.
 #[derive(Debug)]
 pub struct ConcurrentTreeCache {
     config: CacheConfig,
-    inv_quantum: f64,
-    /// Bucket mask; `slots.len()` is a power of two `>= WAYS`.
+    /// Bucket mask; `slots.len()` is `0` or a power of two `>= WAYS`.
     mask: usize,
-    slots: Vec<OnceLock<Box<PublishedEntry>>>,
+    slots: Vec<OnceLock<Box<CacheEntry>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     fallbacks: AtomicU64,
@@ -658,27 +365,22 @@ impl Default for ConcurrentTreeCache {
 }
 
 impl ConcurrentTreeCache {
-    /// A shared cache with the environment-tuned configuration
+    /// A cache with the environment-tuned configuration
     /// ([`CacheConfig::from_env`]).
     pub fn new() -> Self {
         ConcurrentTreeCache::with_config(CacheConfig::from_env())
     }
 
-    /// A shared cache with an explicit configuration.
+    /// A cache with an explicit configuration.
     pub fn with_config(config: CacheConfig) -> Self {
-        assert!(config.capacity > 0, "cache capacity must be positive");
-        assert!(
-            config.quantum.is_finite() && config.quantum > 0.0,
-            "cache quantum must be positive"
-        );
-        let table = config.capacity.next_power_of_two().max(WAYS);
-        let mut slots = Vec::with_capacity(table);
-        slots.resize_with(table, OnceLock::new);
+        let table = match config.capacity {
+            0 => 0,
+            capacity => capacity.next_power_of_two().max(WAYS),
+        };
         ConcurrentTreeCache {
             config,
-            inv_quantum: 1.0 / config.quantum,
-            mask: table - 1,
-            slots,
+            mask: table.saturating_sub(1),
+            slots: (0..table).map(|_| OnceLock::new()).collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             fallbacks: AtomicU64::new(0),
@@ -691,15 +393,13 @@ impl ConcurrentTreeCache {
     }
 
     /// Behaviour counters since construction, with the live-occupancy
-    /// snapshot filled in. Eviction/flush/pool counters are structurally
-    /// zero: published entries are immutable and never discarded.
+    /// snapshot filled in.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             fallbacks: self.fallbacks.load(Ordering::Relaxed),
             entries_live: self.len() as u64,
-            ..CacheStats::default()
         }
     }
 
@@ -713,10 +413,11 @@ impl ConcurrentTreeCache {
         self.slots.iter().all(|s| s.get().is_none())
     }
 
-    /// [`DecisionScratch::group_destinations_into`] through the shared
-    /// cache — same contract as
-    /// [`TreeCache::group_destinations_cached`], but callable through a
-    /// shared reference from any number of threads at once.
+    /// [`DecisionScratch::group_destinations_into`] through the cache:
+    /// serves a stored grouping when every exact input matches, computes
+    /// (and publishes) it otherwise. The result always lives in `scratch`,
+    /// bit-identical to what the direct call would leave there. Callable
+    /// through a shared reference from any number of threads at once.
     #[allow(clippy::too_many_arguments)]
     pub fn group_destinations_cached<'a>(
         &self,
@@ -728,50 +429,44 @@ impl ConcurrentTreeCache {
         perimeter_entry: Option<Point>,
         alive: Option<&[bool]>,
     ) -> &'a Grouping {
-        let fp = fingerprint_with(
-            self.inv_quantum,
+        let decision = Decision {
             topo,
             node,
             dests,
             radio_range_aware,
             perimeter_entry,
             alive,
-        );
+        };
+        if self.slots.is_empty() {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            decision.compute_into(scratch);
+            return scratch.grouping_ref();
+        }
+        let fp = decision.fingerprint();
         let base = fp as usize & self.mask;
+        let window = |way: usize| &self.slots[(base + way) & self.mask];
         let mut stale = false;
         for way in 0..WAYS {
-            let Some(published) = self.slots[(base + way) & self.mask].get() else {
+            let Some(entry) = window(way).get() else {
                 continue;
             };
-            if published.fp != fp {
+            if entry.fp != fp {
                 continue;
             }
-            if entry_matches(
-                &published.entry,
-                topo,
-                node,
-                dests,
-                radio_range_aware,
-                perimeter_entry,
-                alive,
-            ) {
+            if decision.matches(entry) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 if self.config.paranoid {
-                    scratch.group_destinations_into(
-                        topo,
-                        node,
-                        dests,
-                        radio_range_aware,
-                        perimeter_entry,
-                        alive,
-                    );
+                    // Recompute-and-compare mode: the recomputed grouping
+                    // is returned (it is asserted identical, so the
+                    // choice is immaterial).
+                    decision.compute_into(scratch);
                     assert_eq!(
                         scratch.grouping_ref(),
-                        &published.entry.grouping,
-                        "paranoid shared-cache check failed at node {node} for {dests:?}"
+                        &entry.grouping,
+                        "paranoid cache check failed at node {node} for {dests:?}"
                     );
                 } else {
-                    scratch.load_grouping(&published.entry.grouping);
+                    scratch.load_grouping(&entry.grouping);
                 }
                 return scratch.grouping_ref();
             }
@@ -782,69 +477,32 @@ impl ConcurrentTreeCache {
             stale = true;
         }
 
-        if stale {
-            self.fallbacks.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        scratch.group_destinations_into(
-            topo,
-            node,
-            dests,
-            radio_range_aware,
-            perimeter_entry,
-            alive,
-        );
+        let counter = if stale { &self.fallbacks } else { &self.misses };
+        counter.fetch_add(1, Ordering::Relaxed);
+        decision.compute_into(scratch);
 
         // Publish into the first empty way. A resident entry that holds
         // *this* decision (same fingerprint and exact inputs — e.g. a
         // racing publisher beat us) ends the walk; a same-fingerprint
         // collision does not, so the corrected decision can land in a
         // later way where the probe loop will find it.
-        let this_entry_resident = |resident: &PublishedEntry| {
-            resident.fp == fp
-                && entry_matches(
-                    &resident.entry,
-                    topo,
-                    node,
-                    dests,
-                    radio_range_aware,
-                    perimeter_entry,
-                    alive,
-                )
-        };
-        let mut boxed: Option<Box<PublishedEntry>> = None;
+        let resident = |entry: &CacheEntry| entry.fp == fp && decision.matches(entry);
+        let mut boxed: Option<Box<CacheEntry>> = None;
         for way in 0..WAYS {
-            let slot = &self.slots[(base + way) & self.mask];
-            if let Some(resident) = slot.get() {
-                if this_entry_resident(resident) {
+            let slot = window(way);
+            if let Some(entry) = slot.get() {
+                if resident(entry) {
                     break;
                 }
                 continue;
             }
-            let candidate = boxed.take().unwrap_or_else(|| {
-                let mut published = Box::new(PublishedEntry {
-                    fp,
-                    entry: CacheEntry::default(),
-                });
-                let mut pool = Vec::new();
-                fill_entry(
-                    &mut published.entry,
-                    &mut pool,
-                    scratch.grouping_ref(),
-                    topo,
-                    node,
-                    dests,
-                    radio_range_aware,
-                    perimeter_entry,
-                    alive,
-                );
-                published
-            });
+            let candidate = boxed
+                .take()
+                .unwrap_or_else(|| decision.entry(fp, scratch.grouping_ref()));
             match slot.set(candidate) {
                 Ok(()) => break,
                 Err(lost) => {
-                    if slot.get().is_some_and(|winner| this_entry_resident(winner)) {
+                    if slot.get().is_some_and(|winner| resident(winner)) {
                         break;
                     }
                     boxed = Some(lost);
@@ -876,148 +534,9 @@ mod tests {
     }
 
     #[test]
-    fn hit_reproduces_the_computed_grouping_exactly() {
-        let topo = topo();
-        let mut cache = TreeCache::with_config(CacheConfig::default());
-        let mut scratch = DecisionScratch::new();
-        for seed in 0..12u64 {
-            let node = NodeId((seed * 71 % 300) as u32);
-            let dests = dests_for(seed, &topo, node);
-            let expect = group_destinations(&topo, node, &dests, true, None);
-            for _ in 0..3 {
-                let got = cache
-                    .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-                    .clone();
-                assert_eq!(got, expect, "seed {seed}");
-            }
-        }
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 12);
-        assert_eq!(stats.hits, 24);
-        assert_eq!(stats.fallbacks, 0);
-        assert!(stats.hit_rate() > 0.6);
-    }
-
-    #[test]
-    fn paranoid_mode_hits_and_agrees() {
-        let topo = topo();
-        let mut cache = TreeCache::with_config(CacheConfig {
-            paranoid: true,
-            ..CacheConfig::default()
-        });
-        let mut scratch = DecisionScratch::new();
-        let node = NodeId(17);
-        let dests = dests_for(3, &topo, node);
-        let a = cache
-            .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
-        let b = cache
-            .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
-        assert_eq!(a, b);
-        assert_eq!(cache.stats().hits, 1);
-    }
-
-    #[test]
-    fn liveness_flip_falls_back_and_replaces() {
-        let topo = topo();
-        let mut cache = TreeCache::with_config(CacheConfig::default());
-        let mut scratch = DecisionScratch::new();
-        let node = NodeId(42);
-        let dests = dests_for(7, &topo, node);
-        let all_alive = vec![true; topo.len()];
-        let mut some_dead = all_alive.clone();
-        for &n in topo.neighbors(node) {
-            some_dead[n.index()] = false;
-        }
-
-        // Warm with the all-alive view; `None` must then hit (normalized
-        // liveness), and the dead view must recompute, not serve.
-        let warm = cache
-            .group_destinations_cached(
-                &mut scratch,
-                &topo,
-                node,
-                &dests,
-                true,
-                None,
-                Some(&all_alive),
-            )
-            .clone();
-        let none_view = cache
-            .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
-        assert_eq!(warm, none_view);
-        assert_eq!(cache.stats().hits, 1);
-
-        let dead_view = cache
-            .group_destinations_cached(
-                &mut scratch,
-                &topo,
-                node,
-                &dests,
-                true,
-                None,
-                Some(&some_dead),
-            )
-            .clone();
-        assert_eq!(
-            dead_view,
-            {
-                let mut s = DecisionScratch::new();
-                s.group_destinations_into(&topo, node, &dests, true, None, Some(&some_dead));
-                s.grouping_ref().clone()
-            },
-            "dead-neighbor decision must be recomputed, never served stale"
-        );
-        assert!(dead_view.covered.is_empty(), "all neighbors are dead");
-        // Either probe shape is fine (miss under a new fingerprint or
-        // fallback under the old); a stale hit is not.
-        assert_eq!(cache.stats().hits, 1);
-
-        // And the original view still resolves correctly afterwards.
-        let again = cache
-            .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-            .clone();
-        assert_eq!(again, warm);
-    }
-
-    #[test]
-    fn capacity_flush_keeps_serving_correctly() {
-        let topo = topo();
-        let mut cache = TreeCache::with_config(CacheConfig {
-            capacity: 4,
-            ..CacheConfig::default()
-        });
-        let mut scratch = DecisionScratch::new();
-        for round in 0..3 {
-            for seed in 0..10u64 {
-                let node = NodeId((seed * 71 % 300) as u32);
-                let dests = dests_for(seed, &topo, node);
-                let got = cache
-                    .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
-                    .clone();
-                let expect = group_destinations(&topo, node, &dests, true, None);
-                assert_eq!(got, expect, "round {round} seed {seed}");
-            }
-        }
-        assert!(cache.len() <= 4);
-        let stats = cache.stats();
-        assert!(stats.evictions > 0);
-        // Occupancy and flush accounting: every flush dropped a full
-        // capacity's worth of entries, the snapshot matches len(), and
-        // post-flush refills recycled pooled entries instead of
-        // allocating fresh ones.
-        assert!(stats.epoch_flushes > 0);
-        assert_eq!(stats.evictions, stats.epoch_flushes * 4);
-        assert_eq!(stats.entries_live, cache.len() as u64);
-        assert!(stats.pool_reused > 0);
-    }
-
-    #[test]
     fn perimeter_entry_distinguishes_decisions() {
         let topo = topo();
-        let mut cache = TreeCache::with_config(CacheConfig::default());
+        let cache = ConcurrentTreeCache::with_config(CacheConfig::default());
         let mut scratch = DecisionScratch::new();
         let node = NodeId(5);
         let dests = dests_for(1, &topo, node);
@@ -1037,7 +556,6 @@ mod tests {
     fn env_defaults_are_sane() {
         let config = CacheConfig::from_env();
         assert!(config.capacity > 0);
-        assert!(config.quantum > 0.0);
     }
 
     /// A lookup table standing in for the process environment.
@@ -1053,40 +571,35 @@ mod tests {
     #[test]
     fn malformed_env_values_fall_back_to_defaults_with_warnings() {
         let defaults = CacheConfig::default();
-        for bad in ["banana", "0", "-3", "1.5", ""] {
+        for bad in ["banana", "-3", "1.5", ""] {
             let (config, warnings) =
                 CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_CAPACITY", bad)]));
             assert_eq!(config, defaults, "capacity {bad:?}");
             assert_eq!(warnings.len(), 1, "capacity {bad:?}");
             assert!(warnings[0].contains("GMP_CACHE_CAPACITY"), "{warnings:?}");
         }
-        for bad in ["banana", "0", "-1e-3", "NaN", "inf", ""] {
-            let (config, warnings) =
-                CacheConfig::from_lookup(lookup_from(&[("GMP_CACHE_QUANTUM", bad)]));
-            assert_eq!(config, defaults, "quantum {bad:?}");
-            assert_eq!(warnings.len(), 1, "quantum {bad:?}");
-            assert!(warnings[0].contains("GMP_CACHE_QUANTUM"), "{warnings:?}");
-        }
-        // Both malformed at once: both defaults survive, both warned.
+        // A malformed capacity next to a valid paranoid flag: only the
+        // capacity falls back, and only it is warned about.
         let (config, warnings) = CacheConfig::from_lookup(lookup_from(&[
             ("GMP_CACHE_CAPACITY", "lots"),
-            ("GMP_CACHE_QUANTUM", "tiny"),
+            ("GMP_CACHE_PARANOID", "1"),
         ]));
-        assert_eq!(config, defaults);
-        assert_eq!(warnings.len(), 2);
+        assert_eq!(config.capacity, defaults.capacity);
+        assert!(config.paranoid);
+        assert_eq!(warnings.len(), 1);
     }
 
     #[test]
     fn valid_env_values_apply_without_warnings() {
-        let (config, warnings) = CacheConfig::from_lookup(lookup_from(&[
-            ("GMP_CACHE_CAPACITY", "1024"),
-            ("GMP_CACHE_QUANTUM", "0.5"),
-            ("GMP_CACHE_PARANOID", "1"),
-        ]));
-        assert_eq!(config.capacity, 1024);
-        assert_eq!(config.quantum, 0.5);
-        assert!(config.paranoid);
-        assert!(warnings.is_empty());
+        for (raw, capacity) in [("1024", 1024), ("0", 0)] {
+            let (config, warnings) = CacheConfig::from_lookup(lookup_from(&[
+                ("GMP_CACHE_CAPACITY", raw),
+                ("GMP_CACHE_PARANOID", "1"),
+            ]));
+            assert_eq!(config.capacity, capacity);
+            assert!(config.paranoid);
+            assert!(warnings.is_empty(), "capacity {raw:?}: {warnings:?}");
+        }
     }
 
     #[test]
@@ -1127,8 +640,6 @@ mod tests {
         assert_eq!(stats.hits, 24);
         assert_eq!(stats.fallbacks, 0);
         assert_eq!(stats.entries_live, cache.len() as u64);
-        assert_eq!(stats.evictions, 0);
-        assert_eq!(stats.epoch_flushes, 0);
     }
 
     #[test]
@@ -1233,6 +744,7 @@ mod tests {
             s.grouping_ref().clone()
         };
         assert_eq!(dead_view, expect_dead, "dead view must be recomputed");
+        assert!(dead_view.covered.is_empty(), "all neighbors are dead");
         assert_eq!(cache.stats().hits, 1);
 
         // Both variants are now resident under their own fingerprints.
@@ -1300,8 +812,31 @@ mod tests {
         }
         assert!(cache.len() <= 4);
         let stats = cache.stats();
-        assert_eq!(stats.evictions, 0, "shared cache never evicts");
         assert_eq!(stats.lookups(), 30);
+    }
+
+    #[test]
+    fn zero_capacity_disables_caching() {
+        let topo = topo();
+        let cache = ConcurrentTreeCache::with_config(CacheConfig {
+            capacity: 0,
+            ..CacheConfig::default()
+        });
+        let mut scratch = DecisionScratch::new();
+        for seed in 0..6u64 {
+            let node = NodeId((seed * 71 % 300) as u32);
+            let dests = dests_for(seed, &topo, node);
+            for _ in 0..2 {
+                let got = cache
+                    .group_destinations_cached(&mut scratch, &topo, node, &dests, true, None, None)
+                    .clone();
+                assert_eq!(got, group_destinations(&topo, node, &dests, true, None));
+            }
+        }
+        assert!(cache.is_empty());
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.fallbacks), (0, 12, 0));
+        assert_eq!(stats.entries_live, 0);
     }
 
     #[test]

@@ -194,26 +194,21 @@ impl DecisionScratch {
     /// current groups' vectors through the pool — the cache-hit path,
     /// allocation-free once the pool is warm.
     pub(crate) fn load_grouping(&mut self, src: &Grouping) {
-        copy_grouping_into(src, &mut self.grouping, &mut self.group_pool);
-    }
-}
-
-/// Copies `src` over `dst`, recycling `dst`'s group vectors through
-/// `pool` so a warmed destination never reallocates.
-pub(crate) fn copy_grouping_into(src: &Grouping, dst: &mut Grouping, pool: &mut Vec<Vec<NodeId>>) {
-    for mut g in dst.covered.drain(..) {
-        g.dests.clear();
-        pool.push(g.dests);
-    }
-    dst.voids.clear();
-    dst.voids.extend_from_slice(&src.voids);
-    for g in &src.covered {
-        let mut dests = pool.pop().unwrap_or_default();
-        dests.extend_from_slice(&g.dests);
-        dst.covered.push(CoveredGroup {
-            dests,
-            next_hop: g.next_hop,
-        });
+        let dst = &mut self.grouping;
+        for mut g in dst.covered.drain(..) {
+            g.dests.clear();
+            self.group_pool.push(g.dests);
+        }
+        dst.voids.clear();
+        dst.voids.extend_from_slice(&src.voids);
+        for g in &src.covered {
+            let mut dests = self.group_pool.pop().unwrap_or_default();
+            dests.extend_from_slice(&g.dests);
+            dst.covered.push(CoveredGroup {
+                dests,
+                next_hop: g.next_hop,
+            });
+        }
     }
 }
 

@@ -19,6 +19,11 @@
 //! [`GmpRouter`] implements [`gmp_sim::Protocol`], so it plugs directly
 //! into the simulator next to the baselines.
 //!
+//! Every router runs its decisions through one [`ConcurrentTreeCache`]
+//! (module [`cache`]), its own or one shared with other routers. The cache
+//! serves only groupings verified bit-identical to recomputation, so it
+//! changes speed, never a route. `GMP_CACHE_CAPACITY=0` turns it off.
+//!
 //! # Example
 //!
 //! ```
@@ -42,7 +47,7 @@ pub mod geocast;
 pub mod grouping;
 pub mod router;
 
-pub use cache::{CacheConfig, CacheStats, ConcurrentTreeCache, TreeCache};
+pub use cache::{CacheConfig, CacheStats, ConcurrentTreeCache};
 pub use geocast::GmpGeocast;
 pub use grouping::{group_destinations, CoveredGroup, DecisionScratch, Grouping};
 pub use router::{GmpConfig, GmpRouter};

@@ -7,7 +7,7 @@ use gmp_net::face::perimeter_next_hop;
 use gmp_net::PerimeterState;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 
-use crate::cache::{CacheStats, ConcurrentTreeCache, TreeCache};
+use crate::cache::{CacheStats, ConcurrentTreeCache};
 use crate::grouping::{DecisionScratch, Grouping};
 
 /// Configuration of the GMP router.
@@ -37,33 +37,24 @@ impl Default for GmpConfig {
 ///
 /// Stateless across packets — every forwarding decision is recomputed
 /// from the packet's destination list and the node's local neighborhood.
-/// The router does carry a [`DecisionScratch`] and a [`TreeCache`], but
-/// those are pure working memory: they never influence a decision (the
-/// cache only serves groupings proven bit-identical to recomputation —
-/// see [`crate::cache`]), they only let the steady-state hot path skip
-/// redundant tree rebuilds and run without allocating.
+/// The router does carry a [`DecisionScratch`] and a
+/// [`ConcurrentTreeCache`], but those are pure working memory: they never
+/// influence a decision (the cache only serves groupings proven
+/// bit-identical to recomputation — see [`crate::cache`]), they only let
+/// the steady-state hot path skip redundant tree rebuilds and run without
+/// allocating.
+///
+/// The cache sits behind an [`Arc`]: [`GmpRouter::new`] builds a fresh one,
+/// [`GmpRouter::with_shared_cache`] takes one shared with other routers
+/// (typically one per engine worker thread). Cloning a router likewise
+/// shares its cache rather than copying it. Outcomes cannot change, since
+/// every hit is verified, but [`GmpRouter::cache_stats`] then counts the
+/// lookups of every router on that cache.
 #[derive(Debug, Clone, Default)]
 pub struct GmpRouter {
     config: GmpConfig,
     scratch: DecisionScratch,
-    cache: CacheBackend,
-}
-
-/// The router's decision memo: a private per-router [`TreeCache`] (the
-/// default), or a handle to a [`ConcurrentTreeCache`] shared with other
-/// routers — typically one per engine worker thread. The two backends
-/// serve bit-identical groupings (both verify every served entry against
-/// exact inputs), so which one a router carries never shows in a report.
-#[derive(Debug, Clone)]
-enum CacheBackend {
-    Private(TreeCache),
-    Shared(Arc<ConcurrentTreeCache>),
-}
-
-impl Default for CacheBackend {
-    fn default() -> Self {
-        CacheBackend::Private(TreeCache::new())
-    }
+    cache: Arc<ConcurrentTreeCache>,
 }
 
 impl GmpRouter {
@@ -80,13 +71,10 @@ impl GmpRouter {
         })
     }
 
-    /// A router with an explicit configuration (ablation entry point).
+    /// A router with an explicit configuration (ablation entry point) and
+    /// a fresh, environment-tuned decision cache of its own.
     pub fn with_config(config: GmpConfig) -> Self {
-        GmpRouter {
-            config,
-            scratch: DecisionScratch::new(),
-            cache: CacheBackend::default(),
-        }
+        GmpRouter::with_config_and_shared_cache(config, Arc::default())
     }
 
     /// The full protocol backed by a decision cache shared with other
@@ -104,7 +92,7 @@ impl GmpRouter {
         GmpRouter {
             config,
             scratch: DecisionScratch::new(),
-            cache: CacheBackend::Shared(cache),
+            cache,
         }
     }
 
@@ -113,14 +101,11 @@ impl GmpRouter {
         self.config
     }
 
-    /// Decision-cache behaviour counters (hits, misses, fallbacks,
-    /// evictions) accumulated over this router's lifetime — or over the
-    /// whole shared cache's lifetime when one is attached.
+    /// Decision-cache behaviour counters (hits, misses, fallbacks, live
+    /// entries) over the cache's lifetime — shared by every router that
+    /// holds the same cache.
     pub fn cache_stats(&self) -> CacheStats {
-        match &self.cache {
-            CacheBackend::Private(cache) => cache.stats(),
-            CacheBackend::Shared(cache) => cache.stats(),
-        }
+        self.cache.stats()
     }
 }
 
@@ -225,26 +210,15 @@ impl Protocol for GmpRouter {
         // perimeter packet the exit must also beat the entry point's total
         // distance (GPSR's progress rule), or the packet would bounce
         // straight back into the void.
-        match &mut self.cache {
-            CacheBackend::Private(cache) => cache.group_destinations_cached(
-                &mut self.scratch,
-                ctx.topo,
-                ctx.node,
-                &packet.dests,
-                self.config.radio_range_aware,
-                prior.map(|p| p.entry),
-                ctx.alive,
-            ),
-            CacheBackend::Shared(cache) => cache.group_destinations_cached(
-                &mut self.scratch,
-                ctx.topo,
-                ctx.node,
-                &packet.dests,
-                self.config.radio_range_aware,
-                prior.map(|p| p.entry),
-                ctx.alive,
-            ),
-        };
+        self.cache.group_destinations_cached(
+            &mut self.scratch,
+            ctx.topo,
+            ctx.node,
+            &packet.dests,
+            self.config.radio_range_aware,
+            prior.map(|p| p.entry),
+            ctx.alive,
+        );
         emit(
             self.config,
             ctx,
