@@ -22,7 +22,7 @@ use gmp_net::NodeId;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 use gmp_steiner::mst::euclidean_mst;
 
-use crate::util::greedy_next_hop;
+use gmp_net::face::greedy_next_hop;
 
 /// The DSM router.
 #[derive(Debug, Clone, Default)]
@@ -69,7 +69,7 @@ impl DsmRouter {
                     return None;
                 }
                 below.sort();
-                greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(child)).map(|n| Forward {
+                greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(child), None).map(|n| Forward {
                     next_hop: n,
                     packet: packet.split(below, RoutingState::UnicastLeg { target: child }),
                 })
@@ -113,7 +113,7 @@ impl Protocol for DsmRouter {
             // Mid-leg relay: keep pushing toward the leg target.
             RoutingState::UnicastLeg { target } if target != ctx.node => {
                 // Frozen tree, no recovery on voids.
-                if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(target)) {
+                if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(target), None) {
                     out.push(Forward {
                         next_hop: n,
                         packet: packet.clone(),

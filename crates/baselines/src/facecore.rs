@@ -27,7 +27,7 @@ use gmp_net::traversal::{FaceDir, FaceScratch, FaceWalk};
 use gmp_net::NodeId;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, RoutingState};
 
-use crate::util::live_greedy_next_hop;
+use gmp_net::face::greedy_next_hop;
 
 /// The directions a stalled destination fans out into.
 const CONCURRENT: &[FaceDir] = &[FaceDir::Ccw, FaceDir::Cw];
@@ -89,7 +89,7 @@ impl FaceMulticast {
         if ctx.is_alive(d) && ctx.neighbors().binary_search(&d).is_ok() {
             return Some(d);
         }
-        live_greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(d), ctx.alive)
+        greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(d), ctx.alive)
     }
 
     /// Spawns this protocol's face agents for a stalled destination.
@@ -172,7 +172,7 @@ impl FaceMulticast {
             // Strict progress past the stall point: promote to greedy,
             // keeping the direction lineage.
         }
-        match live_greedy_next_hop(ctx.topo, ctx.node, target, ctx.alive) {
+        match greedy_next_hop(ctx.topo, ctx.node, target, ctx.alive) {
             Some(next_hop) => out.push(Forward {
                 next_hop,
                 packet: packet.split(vec![d], RoutingState::Face { dir, walk: None }),

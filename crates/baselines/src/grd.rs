@@ -6,11 +6,8 @@
 //! average number of hops for each destination" (Section 5). Each copy is
 //! a full GPSR unicast: greedy forwarding with perimeter-mode recovery.
 
-use gmp_net::face::perimeter_next_hop;
-use gmp_net::PerimeterState;
+use gmp_net::face::gpsr_step;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
-
-use crate::util::greedy_next_hop;
 
 /// Independent greedy unicast per destination (GPSR).
 #[derive(Debug, Clone, Copy, Default)]
@@ -24,36 +21,23 @@ impl GrdRouter {
 
     fn route_single(&self, ctx: &NodeContext<'_>, packet: MulticastPacket) -> Option<Forward> {
         let dest = packet.dests[0];
-        let target = ctx.pos_of(dest);
-        // Perimeter recovery exit: resume greedy once we are closer to the
-        // destination than the point where the packet entered the mode.
         let mut perimeter = match packet.state {
-            RoutingState::Perimeter(p) if !p.closer_than_entry(ctx.pos()) => Some(p),
+            RoutingState::Perimeter(p) => Some(p),
             _ => None,
         };
-        let next_hop = if perimeter.is_none() {
-            match greedy_next_hop(ctx.topo, ctx.node, target) {
-                Some(n) => {
-                    return Some(Forward {
-                        next_hop: n,
-                        packet: packet.split(vec![dest], RoutingState::Greedy),
-                    })
-                }
-                None => {
-                    let mut state = PerimeterState::enter(ctx.pos(), target);
-                    let n = perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, &mut state)
-                        .ok()?;
-                    perimeter = Some(state);
-                    n
-                }
-            }
-        } else {
-            let state = perimeter.as_mut()?;
-            perimeter_next_hop(ctx.topo, ctx.planar_kind(), ctx.node, state).ok()?
-        };
+        let next_hop = gpsr_step(
+            ctx.topo,
+            ctx.planar_kind(),
+            ctx.node,
+            ctx.pos_of(dest),
+            None,
+            &mut perimeter,
+        )
+        .ok()?;
+        let state = perimeter.map_or(RoutingState::Greedy, RoutingState::Perimeter);
         Some(Forward {
             next_hop,
-            packet: packet.split(vec![dest], RoutingState::Perimeter(perimeter?)),
+            packet: packet.split(vec![dest], state),
         })
     }
 }

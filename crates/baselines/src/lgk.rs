@@ -9,7 +9,7 @@
 use gmp_net::NodeId;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 
-use crate::util::greedy_next_hop;
+use gmp_net::face::greedy_next_hop;
 
 /// The LGK router with fan-out `k`.
 #[derive(Debug, Clone, Copy)]
@@ -61,7 +61,7 @@ impl LgkRouter {
             .iter()
             .zip(groups)
             .filter_map(|(&root, group)| {
-                greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(root)).map(|n| Forward {
+                greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(root), None).map(|n| Forward {
                     next_hop: n,
                     packet: packet.split(group, RoutingState::UnicastLeg { target: root }),
                 })
@@ -89,7 +89,7 @@ impl Protocol for LgkRouter {
     ) {
         match packet.state {
             RoutingState::UnicastLeg { target } if target != ctx.node => {
-                if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(target)) {
+                if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(target), None) {
                     out.push(Forward {
                         next_hop: n,
                         packet: packet.clone(),

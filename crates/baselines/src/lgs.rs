@@ -16,7 +16,7 @@ use gmp_net::NodeId;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 use gmp_steiner::mst::euclidean_mst;
 
-use crate::util::greedy_next_hop;
+use gmp_net::face::greedy_next_hop;
 
 /// The LGS router.
 #[derive(Debug, Clone, Copy, Default)]
@@ -45,7 +45,7 @@ impl LgsRouter {
                 .collect();
             let root_dest = packet.dests[child - 1];
             // Void (`None`): LGS gives up on this whole group.
-            if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(root_dest)) {
+            if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(root_dest), None) {
                 out.push(Forward {
                     next_hop: n,
                     packet: packet.split(group, RoutingState::UnicastLeg { target: root_dest }),
@@ -73,7 +73,7 @@ impl Protocol for LgsRouter {
             // stripped us from the destination list in that case).
             RoutingState::UnicastLeg { target } if target != ctx.node => {
                 // Void mid-leg (`None`): fail.
-                if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(target)) {
+                if let Some(n) = greedy_next_hop(ctx.topo, ctx.node, ctx.pos_of(target), None) {
                     out.push(Forward {
                         next_hop: n,
                         packet: packet.clone(),

@@ -41,7 +41,6 @@ pub mod lgs;
 pub mod mcfr;
 pub mod pbm;
 pub mod smt;
-pub(crate) mod util;
 
 pub use dsm::DsmRouter;
 pub use grd::GrdRouter;

@@ -19,12 +19,12 @@
 //! * before traversing an edge that crosses the `face_entry`–`dest` line at
 //!   a point closer to `dest`, the packet moves to the adjacent face.
 
-use gmp_geom::point::ccw_sweep;
 use gmp_geom::{Point, Segment};
 
 use crate::node::NodeId;
 use crate::planar::PlanarKind;
 use crate::topology::Topology;
+use crate::traversal::{first_turn, FaceDir};
 
 /// Why perimeter forwarding could not produce a next hop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -123,28 +123,21 @@ pub fn perimeter_next_hop(
     // itself must be taken last (sweep 0 treated as a full turn).
     let zero_is_full_turn = state.prev.is_some();
 
-    let mut candidate =
-        first_ccw(topo, x, neighbors, ref_dir, zero_is_full_turn).ok_or(FaceRoutingError::Stuck)?;
+    let mut candidate = first_turn(topo, x, neighbors, ref_dir, FaceDir::Ccw, zero_is_full_turn)
+        .ok_or(FaceRoutingError::Stuck)?;
 
     // Face changes: while the chosen edge crosses the face_entry–dest line
     // at a point closer to the destination, hop to the adjacent face by
     // advancing to the next edge counterclockwise.
     for _ in 0..=neighbors.len() {
-        let edge = Segment::new(x, topo.pos(candidate));
-        let line = Segment::new(state.face_entry, state.dest);
-        if edge.properly_crosses(&line) {
-            if let Some(i) = edge.line_intersection(&line) {
-                if i.dist(state.dest) < state.face_entry.dist(state.dest) - gmp_geom::EPS {
-                    state.face_entry = i;
-                    state.first_edge = None;
-                    let new_ref = topo.pos(candidate) - x;
-                    candidate = first_ccw(topo, x, neighbors, new_ref, true)
-                        .ok_or(FaceRoutingError::Stuck)?;
-                    continue;
-                }
-            }
-        }
-        break;
+        let Some(i) = closer_crossing(x, topo.pos(candidate), state.face_entry, state.dest) else {
+            break;
+        };
+        state.face_entry = i;
+        state.first_edge = None;
+        let new_ref = topo.pos(candidate) - x;
+        candidate = first_turn(topo, x, neighbors, new_ref, FaceDir::Ccw, true)
+            .ok_or(FaceRoutingError::Stuck)?;
     }
 
     let edge = (current, candidate);
@@ -157,34 +150,85 @@ pub fn perimeter_next_hop(
     Ok(candidate)
 }
 
-/// The neighbor whose edge is first counterclockwise from `ref_dir`.
-///
-/// With `zero_is_full_turn`, a neighbor exactly along `ref_dir` (the node
-/// we arrived from) sorts last, producing the bounce-back-on-dead-end
-/// behaviour of the right-hand rule.
-fn first_ccw(
-    topo: &Topology,
-    x: Point,
-    neighbors: &[NodeId],
-    ref_dir: gmp_geom::Vec2,
-    zero_is_full_turn: bool,
-) -> Option<NodeId> {
-    let mut best: Option<(f64, NodeId)> = None;
-    for &n in neighbors {
-        let d = topo.pos(n) - x;
-        if d.norm_sq() <= gmp_geom::EPS * gmp_geom::EPS {
-            continue; // co-located neighbor: skip
-        }
-        let mut sweep = ccw_sweep(ref_dir, d);
-        if zero_is_full_turn && sweep <= 1e-12 {
-            sweep = std::f64::consts::TAU;
-        }
-        match best {
-            Some((s, _)) if s <= sweep => {}
-            _ => best = Some((sweep, n)),
-        }
+/// Where the edge `tail`–`head` properly crosses the segment
+/// `anchor`–`dest`, if it does so at a point closer to `dest` than `anchor`
+/// by more than [`gmp_geom::EPS`] — the face-change test of both GPSR's
+/// perimeter mode and the FACE-1 scan.
+pub(crate) fn closer_crossing(
+    tail: Point,
+    head: Point,
+    anchor: Point,
+    dest: Point,
+) -> Option<Point> {
+    let edge = Segment::new(tail, head);
+    let line = Segment::new(anchor, dest);
+    if !edge.properly_crosses(&line) {
+        return None;
     }
-    best.map(|(_, n)| n)
+    edge.line_intersection(&line)
+        .filter(|at| at.dist(dest) < anchor.dist(dest) - gmp_geom::EPS)
+}
+
+/// The neighbor of `node` strictly closer to `target` than `node` itself,
+/// minimizing the remaining distance: plain greedy geographic forwarding.
+/// With an `alive` mask, neighbors it reports dead are skipped, so a
+/// protocol never greedily hands a packet to a node it can observe is
+/// dead; `None` considers every neighbor.
+pub fn greedy_next_hop(
+    topo: &Topology,
+    node: NodeId,
+    target: Point,
+    alive: Option<&[bool]>,
+) -> Option<NodeId> {
+    let own = topo.pos(node).dist_sq(target);
+    topo.neighbors(node)
+        .iter()
+        .copied()
+        .filter(|&n| alive.is_none_or(|a| a[n.index()]))
+        .filter(|&n| topo.pos(n).dist_sq(target) < own)
+        .min_by(|&a, &b| {
+            topo.pos(a)
+                .dist_sq(target)
+                .total_cmp(&topo.pos(b).dist_sq(target))
+        })
+}
+
+/// One hop of GPSR unicast from `current` toward `target`, driving the
+/// greedy/perimeter state machine carried in `perimeter` (`None` = greedy
+/// mode): a perimeter-mode packet returns to greedy once `current` is
+/// closer to `target` than where it entered the mode; in greedy mode the
+/// hop is [`greedy_next_hop`] (skipping neighbors `alive` reports dead),
+/// and at a void the packet enters perimeter mode at `current`. The
+/// perimeter walk itself runs on the full planar graph. On success
+/// `perimeter` holds the state the packet carries to the returned next
+/// hop.
+///
+/// # Errors
+///
+/// Those of [`perimeter_next_hop`]: the perimeter walk is stuck or has
+/// proved `target` unreachable.
+pub fn gpsr_step(
+    topo: &Topology,
+    kind: PlanarKind,
+    current: NodeId,
+    target: Point,
+    alive: Option<&[bool]>,
+    perimeter: &mut Option<PerimeterState>,
+) -> Result<NodeId, FaceRoutingError> {
+    let here = topo.pos(current);
+    if perimeter.is_some_and(|state| state.closer_than_entry(here)) {
+        *perimeter = None;
+    }
+    if let Some(state) = perimeter {
+        return perimeter_next_hop(topo, kind, current, state);
+    }
+    if let Some(n) = greedy_next_hop(topo, current, target, alive) {
+        return Ok(n);
+    }
+    let mut state = PerimeterState::enter(here, target);
+    let n = perimeter_next_hop(topo, kind, current, &mut state)?;
+    *perimeter = Some(state);
+    Ok(n)
 }
 
 /// Outcome of a full GPSR unicast route computation.
@@ -241,54 +285,18 @@ pub fn gpsr_route(
     let target = topo.pos(dst);
     let mut path = vec![src];
     let mut current = src;
-    let mut perimeter: Option<PerimeterState> = None;
+    let mut perimeter = None;
     for _ in 0..max_hops {
         if current == dst {
             return RouteOutcome::Delivered(path);
         }
-        // Try to resume greedy whenever we have made progress past the
-        // perimeter entry point.
-        if let Some(state) = perimeter {
-            if state.closer_than_entry(topo.pos(current)) {
-                perimeter = None;
+        match gpsr_step(topo, kind, current, target, None, &mut perimeter) {
+            Ok(next) => {
+                path.push(next);
+                current = next;
             }
+            Err(_) => return RouteOutcome::Unreachable(path),
         }
-        let next = if perimeter.is_none() {
-            let here = topo.pos(current);
-            let greedy = topo
-                .neighbors(current)
-                .iter()
-                .copied()
-                .filter(|&n| topo.pos(n).dist_sq(target) < here.dist_sq(target))
-                .min_by(|&a, &b| {
-                    topo.pos(a)
-                        .dist_sq(target)
-                        .total_cmp(&topo.pos(b).dist_sq(target))
-                });
-            match greedy {
-                Some(n) => n,
-                None => {
-                    let mut state = PerimeterState::enter(here, target);
-                    match perimeter_next_hop(topo, kind, current, &mut state) {
-                        Ok(n) => {
-                            perimeter = Some(state);
-                            n
-                        }
-                        Err(_) => return RouteOutcome::Unreachable(path),
-                    }
-                }
-            }
-        } else {
-            match perimeter
-                .as_mut()
-                .map(|state| perimeter_next_hop(topo, kind, current, state))
-            {
-                Some(Ok(n)) => n,
-                _ => return RouteOutcome::Unreachable(path),
-            }
-        };
-        path.push(next);
-        current = next;
     }
     if current == dst {
         RouteOutcome::Delivered(path)
@@ -407,6 +415,63 @@ mod tests {
             let out = gpsr_route(&topo, PlanarKind::Gabriel, s, d, 3000);
             assert!(out.is_delivered(), "seed {seed}: {:?}", out.path().len());
         }
+    }
+
+    #[test]
+    fn greedy_picks_strictly_closer_minimum() {
+        let topo = Topology::from_positions(
+            vec![
+                Point::new(0.0, 0.0),
+                Point::new(10.0, 0.0),
+                Point::new(-10.0, 0.0),
+                Point::new(8.0, 4.0),
+            ],
+            Aabb::square(100.0),
+            20.0,
+        );
+        let target = Point::new(50.0, 0.0);
+        assert_eq!(
+            greedy_next_hop(&topo, NodeId(0), target, None),
+            Some(NodeId(1))
+        );
+        // Target behind every neighbor: none qualifies.
+        assert_eq!(
+            greedy_next_hop(&topo, NodeId(1), Point::new(11.0, 0.0), None),
+            None
+        );
+    }
+
+    #[test]
+    fn live_greedy_skips_dead_neighbors() {
+        let topo = Topology::from_positions(
+            vec![
+                Point::new(0.0, 0.0),
+                Point::new(10.0, 0.0),
+                Point::new(8.0, 4.0),
+            ],
+            Aabb::square(100.0),
+            20.0,
+        );
+        let target = Point::new(50.0, 0.0);
+        assert_eq!(
+            greedy_next_hop(&topo, NodeId(0), target, None),
+            Some(NodeId(1))
+        );
+        let alive = [true, true, true];
+        assert_eq!(
+            greedy_next_hop(&topo, NodeId(0), target, Some(&alive)),
+            Some(NodeId(1))
+        );
+        let alive = [true, false, true];
+        assert_eq!(
+            greedy_next_hop(&topo, NodeId(0), target, Some(&alive)),
+            Some(NodeId(2))
+        );
+        let alive = [true, false, false];
+        assert_eq!(
+            greedy_next_hop(&topo, NodeId(0), target, Some(&alive)),
+            None
+        );
     }
 
     #[test]

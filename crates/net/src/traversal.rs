@@ -33,9 +33,9 @@
 //! bit-identical to the cached rows when every node is alive.
 
 use gmp_geom::point::ccw_sweep;
-use gmp_geom::{Point, Segment, Vec2};
+use gmp_geom::{Point, Vec2};
 
-use crate::face::{FaceRoutingError, RouteOutcome};
+use crate::face::{closer_crossing, greedy_next_hop, FaceRoutingError, RouteOutcome};
 use crate::node::NodeId;
 use crate::planar::{live_planar_neighbors_into, PlanarKind};
 use crate::topology::Topology;
@@ -254,18 +254,10 @@ impl FaceWalk {
     /// the anchor–destination segment strictly closer to the destination
     /// than both the anchor and any crossing recorded so far.
     fn consider(&mut self, tail: Point, head: Point, edge: (NodeId, NodeId), dest: Point) {
-        let seg = Segment::new(tail, head);
-        let line = Segment::new(self.anchor, dest);
-        if !seg.properly_crosses(&line) {
-            return;
-        }
-        let Some(at) = seg.line_intersection(&line) else {
+        let Some(at) = closer_crossing(tail, head, self.anchor, dest) else {
             return;
         };
         let d = at.dist(dest);
-        if d >= self.anchor.dist(dest) - gmp_geom::EPS {
-            return;
-        }
         let better = match self.best {
             Some(b) => d < b.at.dist(dest),
             None => true,
@@ -277,10 +269,12 @@ impl FaceWalk {
 }
 
 /// The neighbor whose edge is first in `dir`'s turning order from
-/// `ref_dir`. The [`FaceDir::Ccw`] case matches `face::first_ccw`; the
-/// clockwise case mirrors the sweep. With `zero_is_full_turn`, a neighbor
-/// exactly along `ref_dir` (the arrival edge) sorts last.
-fn first_turn(
+/// `ref_dir`: the one face-turn primitive. The [`FaceDir::Ccw`] case is
+/// GPSR's right-hand rule (also [`crate::face::perimeter_next_hop`]'s
+/// step); the clockwise case mirrors the sweep. With `zero_is_full_turn`,
+/// a neighbor exactly along `ref_dir` (the arrival edge) sorts last,
+/// producing the bounce-back-on-dead-end behaviour of the right-hand rule.
+pub(crate) fn first_turn(
     topo: &Topology,
     x: Point,
     neighbors: &[NodeId],
@@ -357,31 +351,17 @@ pub fn gfg_route(
             }
         }
         let next = match &mut walk {
-            None => {
-                let greedy = topo
-                    .neighbors(current)
-                    .iter()
-                    .copied()
-                    .filter(|&n| topo.pos(n).dist_sq(target) < here.dist_sq(target))
-                    .min_by(|&a, &b| {
-                        topo.pos(a)
-                            .dist_sq(target)
-                            .total_cmp(&topo.pos(b).dist_sq(target))
-                    });
-                match greedy {
-                    Some(n) => n,
-                    None => {
-                        match FaceWalk::begin(topo, kind, None, dir, current, target, &mut scratch)
-                        {
-                            Some((n, w)) => {
-                                walk = Some(w);
-                                n
-                            }
-                            None => return RouteOutcome::Unreachable(path),
-                        }
+            None => match greedy_next_hop(topo, current, target, None) {
+                Some(n) => n,
+                None => match FaceWalk::begin(topo, kind, None, dir, current, target, &mut scratch)
+                {
+                    Some((n, w)) => {
+                        walk = Some(w);
+                        n
                     }
-                }
-            }
+                    None => return RouteOutcome::Unreachable(path),
+                },
+            },
             Some(w) => match w.next(topo, kind, None, dir, current, target, &mut scratch) {
                 Ok(n) => n,
                 Err(_) => return RouteOutcome::Unreachable(path),

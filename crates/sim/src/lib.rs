@@ -20,7 +20,8 @@
 //!   a wire encoding (header-overhead accounting);
 //! * [`TaskRunner`] — runs one multicast task through the event queue and
 //!   produces a [`TaskReport`];
-//! * [`MulticastTask`] — a (source, destination-set) workload item;
+//! * [`MulticastTask`] — a (source, destination-set) workload item; a
+//!   geocast task resolves its destination set from a region;
 //! * [`FaultPlan`] (re-exported from `gmp-faults`) — deterministic fault
 //!   injection: Bernoulli knobs plus timed crashes, regional blackouts,
 //!   duty-cycle sleep, and link churn, with the delivery-guarantee
@@ -33,7 +34,6 @@
 pub mod config;
 pub mod energy;
 pub mod event;
-pub mod geocast;
 pub mod knob;
 pub mod metrics;
 pub mod packet;
@@ -45,7 +45,6 @@ pub mod task;
 
 pub use config::SimConfig;
 pub use energy::EnergyModel;
-pub use geocast::{GeocastReport, GeocastRunner, GeocastTask};
 pub use gmp_faults::{FailedDest, FailureCause, FaultEvent, FaultPlan, FaultRegion};
 pub use knob::env_knob;
 pub use metrics::TaskReport;

@@ -55,8 +55,10 @@ pub enum RoutingState {
 /// anything edits their destination list, so the list is an `Arc<Vec<_>>`:
 /// cloning a packet bumps a reference count instead of copying node ids.
 /// The only mutation, [`DestList::retain`], goes through [`Arc::make_mut`]
-/// — in the simulator the packet inside a `Deliver` event is uniquely
-/// owned, so the retain edits in place without a copy.
+/// — in the simulator the packet inside a `Deliver` event is usually
+/// uniquely owned, so the retain edits in place without a copy; a list
+/// shared by several copies (a geocast flood forwards its list unchanged)
+/// is copied on its first strip.
 #[derive(Debug, Clone, Default)]
 pub struct DestList(Arc<Vec<NodeId>>);
 

@@ -33,7 +33,6 @@
 //! to the seed's (see `crates/bench/tests/sim_parity.rs` and DESIGN.md).
 
 use gmp_faults::{FailureCause, FaultScratch};
-use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -252,81 +251,6 @@ impl<'a> TaskRunner<'a> {
                 })
         })
     }
-
-    /// Applies hop caps, accounts energy/bytes, and schedules deliveries
-    /// for the copies a protocol decided to send from `sender` (drained
-    /// from the shared forward buffer), with the configured carrier-sense
-    /// jitter.
-    #[allow(clippy::too_many_arguments)]
-    fn transmit_jittered(
-        &self,
-        sender: NodeId,
-        forwards: &mut Vec<Forward>,
-        queue: &mut EventQueue,
-        report: &mut TaskReport,
-        energy: &EnergyModel,
-        positions: &[Point],
-        on_air: &mut OnAir,
-        rng: &mut StdRng,
-        pending: &[bool],
-        drop_cause: &mut [FailureCause],
-    ) {
-        for mut fwd in forwards.drain(..) {
-            assert!(
-                self.topo.neighbors(sender).contains(&fwd.next_hop),
-                "protocol bug: {} forwarded to non-neighbor {}",
-                sender,
-                fwd.next_hop
-            );
-            fwd.packet.hops += 1;
-            if fwd.packet.hops > self.config.max_path_hops {
-                report.dropped_packets += 1;
-                record_drop(&fwd.packet.dests, pending, drop_cause, FailureCause::HopCap);
-                continue;
-            }
-            let bytes = if self.config.size_dependent_airtime {
-                fwd.packet.encoded_len(positions)
-            } else {
-                self.config.message_bytes
-            };
-            let link_m = self.topo.pos(sender).dist(self.topo.pos(fwd.next_hop));
-            // Under power control only nodes within the (reduced) radius
-            // overhear the transmission; the cutoff is a binary search in
-            // the distance-sorted neighbor list instead of an O(degree)
-            // filter.
-            let listeners = if self.config.power_control.is_some() {
-                let dists = self.topo.neighbor_distances(sender);
-                dists.partition_point(|&d| d <= link_m + gmp_geom::EPS)
-            } else {
-                self.topo.neighbors(sender).len()
-            };
-            report.transmissions += 1;
-            report.bytes_transmitted += bytes;
-            report.links.push((sender, fwd.next_hop));
-            report.link_times_s.push(queue.now());
-            report.energy_j += energy.transmission_energy(bytes, listeners, link_m);
-            let jitter = if self.config.tx_jitter_s > 0.0 {
-                rng.gen_range(0.0..=self.config.tx_jitter_s)
-            } else {
-                0.0
-            };
-            let sent_at = queue.now() + jitter;
-            let arrival = sent_at + energy.airtime(bytes);
-            if self.config.collisions {
-                on_air.push(sent_at, arrival, sender);
-            }
-            queue.schedule(
-                arrival,
-                Event::Deliver {
-                    to: fwd.next_hop,
-                    from: sender,
-                    sent_at,
-                    retries: 0,
-                    packet: fwd.packet,
-                },
-            );
-        }
-    }
 }
 
 /// One in-flight simulated multicast task, steppable one event batch at a
@@ -375,9 +299,6 @@ impl<'a> Session<'a> {
         mut scratch: SimScratch,
     ) -> Self {
         let TaskRunner { topo, config } = runner;
-        let mut report = TaskReport::new(protocol.name());
-        let energy = EnergyModel::from_config(config);
-        let positions = topo.positions_ref();
         let mut rng = StdRng::seed_from_u64(seed);
 
         let SimScratch {
@@ -443,18 +364,6 @@ impl<'a> Session<'a> {
             let initial = MulticastPacket::new(0, task.source, task.dests.clone());
             protocol.on_packet(&ctx, initial, forwards);
         }
-        runner.transmit_jittered(
-            task.source,
-            forwards,
-            queue,
-            &mut report,
-            &energy,
-            positions,
-            on_air,
-            &mut rng,
-            pending,
-            drop_cause,
-        );
 
         // The staged pass applies when nothing between a pop and its
         // forwards draws RNG: collisions off (no backoff draws, no on-air
@@ -462,12 +371,12 @@ impl<'a> Session<'a> {
         // default configuration qualifies; collision/jitter runs take the
         // interleaved step, which handles retransmission.
         let use_staged = !config.collisions && config.tx_jitter_s == 0.0;
-        Session {
+        let mut session = Session {
             topo,
             config,
             scratch,
-            report,
-            energy,
+            report: TaskReport::new(protocol.name()),
+            energy: EnergyModel::from_config(config),
             rng,
             source: task.source,
             has_events,
@@ -478,7 +387,9 @@ impl<'a> Session<'a> {
             // The initial packet was one routing decision.
             decisions: 1,
             done: false,
-        }
+        };
+        session.transmit(task.source);
+        session
     }
 
     /// Advances the session by one unit of simulated work — the entire
@@ -580,166 +491,61 @@ impl<'a> Session<'a> {
     /// precisely the set of events the interleaved loop would pop before
     /// any event it schedules.
     fn step_staged(&mut self, protocol: &mut dyn Protocol) {
-        let Session {
-            topo,
-            config,
-            scratch,
-            report,
-            energy,
-            rng,
-            source,
-            has_events,
-            has_duty,
-            has_churn,
-            events_processed,
-            decisions,
-            done,
-            ..
-        } = self;
-        let (topo, config, source) = (*topo, *config, *source);
-        let (has_events, has_duty, has_churn) = (*has_events, *has_duty, *has_churn);
-        let runner = TaskRunner { topo, config };
-        let positions = topo.positions_ref();
-        let plan = &config.faults;
-        let SimScratch {
-            queue,
-            on_air,
-            alive,
-            pending,
-            pending_count,
-            deliveries,
-            forwards,
-            drop_cause,
-            faults,
-            staged,
-        } = scratch;
-
-        let Some((time, first)) = queue.pop() else {
-            *done = true;
+        let Some((time, first)) = self.scratch.queue.pop() else {
+            self.done = true;
             return;
         };
+        // The batch buffer leaves the scratch for the batch so the
+        // per-event helpers can borrow the whole session; taking a `Vec`
+        // allocates nothing, and its capacity comes back below.
+        let mut staged = std::mem::take(&mut self.scratch.staged);
         let mut event = first;
         loop {
-            *events_processed += 1;
-            if *events_processed > config.max_events {
+            self.events_processed += 1;
+            if self.events_processed > self.config.max_events {
                 // The tripping event is discarded unprocessed — the
                 // interleaved loop breaks at the same point, with the
                 // rest of the batch already dispatched.
-                report.truncated = true;
+                self.report.truncated = true;
                 break;
             }
             let Event::Deliver {
                 to, from, packet, ..
             } = event;
-            if has_events {
-                faults.advance_to(time, source, alive);
-            }
-            // A dead receiver and a sleeping receiver drop with the same
-            // cause by design; keep the branches in the interleaved
-            // loop's exact order.
-            #[allow(clippy::if_same_then_else)]
-            let verdict = if !alive[to.index()] {
-                Some(FailureCause::DeadNode)
-            } else if has_duty && to != source && faults.node_asleep(to, time) {
-                Some(FailureCause::DeadNode)
-            } else if has_churn && faults.link_severed(from, to, time) {
-                Some(FailureCause::LinkDown)
-            } else if plan.transmission_lost(rng) {
-                Some(FailureCause::LinkLoss)
-            } else {
-                None
-            };
+            let verdict = self.fault_verdict(from, to, time);
             staged.push((to, packet, verdict));
             // Bitwise time equality: ±0.0 (ordered by `total_cmp` in the
             // heap) must not be merged into one batch.
-            match queue.peek_time() {
+            match self.scratch.queue.peek_time() {
                 Some(t) if t.to_bits() == time.to_bits() => {
-                    event = queue.pop().expect("peeked").1;
+                    event = self.scratch.queue.pop().expect("peeked").1;
                 }
                 _ => break,
             }
         }
-        for (to, mut packet, verdict) in staged.drain(..) {
-            if let Some(cause) = verdict {
-                report.dropped_packets += 1;
-                record_drop(&packet.dests, pending, drop_cause, cause);
-                continue;
+        for (to, packet, verdict) in staged.drain(..) {
+            match verdict {
+                Some(cause) => self.drop_copy(&packet.dests, cause),
+                None => self.deliver(protocol, to, time, packet),
             }
-            // Record delivery and strip the receiving node.
-            if packet.dests.contains(&to) {
-                packet.dests.retain(|&d| d != to);
-                if pending[to.index()] {
-                    pending[to.index()] = false;
-                    *pending_count -= 1;
-                    deliveries.push((to, packet.hops, time));
-                    report.completion_time_s = report.completion_time_s.max(time);
-                }
-            }
-            if packet.dests.is_empty() {
-                continue;
-            }
-            let ctx = NodeContext {
-                topo,
-                node: to,
-                config,
-                alive: has_events.then_some(alive.as_slice()),
-            };
-            *decisions += 1;
-            protocol.on_packet(&ctx, packet, forwards);
-            runner.transmit_jittered(
-                to, forwards, queue, report, energy, positions, on_air, rng, pending, drop_cause,
-            );
         }
-        if report.truncated {
-            *done = true;
+        self.scratch.staged = staged;
+        if self.report.truncated {
+            self.done = true;
         }
     }
 
     /// One event of the interleaved loop (collision model and/or jitter
     /// active).
     fn step_interleaved(&mut self, protocol: &mut dyn Protocol) {
-        let Session {
-            topo,
-            config,
-            scratch,
-            report,
-            energy,
-            rng,
-            source,
-            has_events,
-            has_duty,
-            has_churn,
-            events_processed,
-            decisions,
-            done,
-            ..
-        } = self;
-        let (topo, config, source) = (*topo, *config, *source);
-        let (has_events, has_duty, has_churn) = (*has_events, *has_duty, *has_churn);
-        let runner = TaskRunner { topo, config };
-        let positions = topo.positions_ref();
-        let plan = &config.faults;
-        let SimScratch {
-            queue,
-            on_air,
-            alive,
-            pending,
-            pending_count,
-            deliveries,
-            forwards,
-            drop_cause,
-            faults,
-            staged: _,
-        } = scratch;
-
-        let Some((time, event)) = queue.pop() else {
-            *done = true;
+        let Some((time, event)) = self.scratch.queue.pop() else {
+            self.done = true;
             return;
         };
-        *events_processed += 1;
-        if *events_processed > config.max_events {
-            report.truncated = true;
-            *done = true;
+        self.events_processed += 1;
+        if self.events_processed > self.config.max_events {
+            self.report.truncated = true;
+            self.done = true;
             return;
         }
         let Event::Deliver {
@@ -747,44 +553,30 @@ impl<'a> Session<'a> {
             from,
             sent_at,
             retries,
-            mut packet,
+            packet,
         } = event;
-        if has_events {
-            faults.advance_to(time, source, alive);
-        }
-        if !alive[to.index()] {
-            report.dropped_packets += 1;
-            record_drop(&packet.dests, pending, drop_cause, FailureCause::DeadNode);
-            return;
-        }
-        // Duty-cycle sleep: a sleeping receiver misses the copy just
-        // like a dead one, but wakes up again (and the oracle never
-        // excuses the miss).
-        if has_duty && to != source && faults.node_asleep(to, time) {
-            report.dropped_packets += 1;
-            record_drop(&packet.dests, pending, drop_cause, FailureCause::DeadNode);
-            return;
-        }
-        // Link churn: the link was severed while the copy was on it.
-        if has_churn && faults.link_severed(from, to, time) {
-            report.dropped_packets += 1;
-            record_drop(&packet.dests, pending, drop_cause, FailureCause::LinkDown);
-            return;
-        }
-        // Link-loss injection: the transmission was made (and paid
-        // for) but the copy never arrives.
-        if plan.transmission_lost(rng) {
-            report.dropped_packets += 1;
-            record_drop(&packet.dests, pending, drop_cause, FailureCause::LinkLoss);
+        if let Some(cause) = self.fault_verdict(from, to, time) {
+            self.drop_copy(&packet.dests, cause);
             return;
         }
         // Collision model: the copy is destroyed if any other audible
         // node (or the half-duplex receiver itself) transmitted during
         // its airtime. The link layer retries with backoff, up to the
         // configured budget (802.11-style), paying for each attempt.
-        if config.collisions {
+        if self.config.collisions {
+            let Session {
+                topo,
+                config,
+                scratch,
+                report,
+                energy,
+                rng,
+                ..
+            } = self;
+            let (topo, config) = (*topo, *config);
+            let SimScratch { queue, on_air, .. } = scratch;
             on_air.prune(time);
-            if runner.collides(on_air, sent_at, time, from, to) {
+            if (TaskRunner { topo, config }).collides(on_air, sent_at, time, from, to) {
                 if retries < config.max_retransmissions {
                     let airtime = time - sent_at;
                     let backoff = if config.tx_jitter_s > 0.0 {
@@ -813,36 +605,180 @@ impl<'a> Session<'a> {
                         },
                     );
                 } else {
-                    report.dropped_packets += 1;
-                    record_drop(&packet.dests, pending, drop_cause, FailureCause::Collision);
+                    self.drop_copy(&packet.dests, FailureCause::Collision);
                 }
                 return;
             }
         }
-        // Record delivery and strip the receiving node.
+        self.deliver(protocol, to, time, packet);
+    }
+
+    /// The fault verdict for a copy arriving at `to` from `from` at
+    /// `time`, after advancing the fault timeline to `time`: `Some(cause)`
+    /// drops the copy. The branches run in a fixed order, and the loss
+    /// draw (the only RNG use) happens only when every earlier check
+    /// passes:
+    ///
+    /// 1. a dead receiver;
+    /// 2. a receiver asleep in its duty cycle — it misses the copy just
+    ///    like a dead one, but wakes up again (and the oracle never
+    ///    excuses the miss);
+    /// 3. link churn — the link was severed while the copy was on it;
+    /// 4. link-loss injection — the transmission was made (and paid for)
+    ///    but the copy never arrives.
+    fn fault_verdict(&mut self, from: NodeId, to: NodeId, time: f64) -> Option<FailureCause> {
+        let SimScratch { alive, faults, .. } = &mut self.scratch;
+        if self.has_events {
+            faults.advance_to(time, self.source, alive);
+        }
+        // A dead receiver and a sleeping receiver drop with the same
+        // cause by design.
+        #[allow(clippy::if_same_then_else)]
+        if !alive[to.index()] {
+            Some(FailureCause::DeadNode)
+        } else if self.has_duty && to != self.source && faults.node_asleep(to, time) {
+            Some(FailureCause::DeadNode)
+        } else if self.has_churn && faults.link_severed(from, to, time) {
+            Some(FailureCause::LinkDown)
+        } else if self.config.faults.transmission_lost(&mut self.rng) {
+            Some(FailureCause::LinkLoss)
+        } else {
+            None
+        }
+    }
+
+    /// Counts a dropped copy and records `cause` against the still-pending
+    /// destinations it carried.
+    fn drop_copy(&mut self, dests: &[NodeId], cause: FailureCause) {
+        self.report.dropped_packets += 1;
+        record_drop(
+            dests,
+            &self.scratch.pending,
+            &mut self.scratch.drop_cause,
+            cause,
+        );
+    }
+
+    /// Hands a copy that survived the fault checks to `to` at `time`:
+    /// records the delivery and strips `to` from the copy's destinations,
+    /// then — if any remain — runs the routing decision and transmits its
+    /// forwards.
+    fn deliver(
+        &mut self,
+        protocol: &mut dyn Protocol,
+        to: NodeId,
+        time: f64,
+        mut packet: MulticastPacket,
+    ) {
+        let SimScratch {
+            alive,
+            pending,
+            pending_count,
+            deliveries,
+            forwards,
+            ..
+        } = &mut self.scratch;
         if packet.dests.contains(&to) {
             packet.dests.retain(|&d| d != to);
             if pending[to.index()] {
                 pending[to.index()] = false;
                 *pending_count -= 1;
                 deliveries.push((to, packet.hops, time));
-                report.completion_time_s = report.completion_time_s.max(time);
+                self.report.completion_time_s = self.report.completion_time_s.max(time);
             }
         }
         if packet.dests.is_empty() {
             return;
         }
         let ctx = NodeContext {
-            topo,
+            topo: self.topo,
             node: to,
-            config,
-            alive: has_events.then_some(alive.as_slice()),
+            config: self.config,
+            alive: self.has_events.then_some(alive.as_slice()),
         };
-        *decisions += 1;
+        self.decisions += 1;
         protocol.on_packet(&ctx, packet, forwards);
-        runner.transmit_jittered(
-            to, forwards, queue, report, energy, positions, on_air, rng, pending, drop_cause,
-        );
+        self.transmit(to);
+    }
+
+    /// Applies hop caps, accounts energy/bytes, and schedules deliveries
+    /// for the copies the protocol decided to send from `sender` (drained
+    /// from the shared forward buffer), with the configured carrier-sense
+    /// jitter.
+    fn transmit(&mut self, sender: NodeId) {
+        let Session {
+            topo,
+            config,
+            scratch,
+            report,
+            energy,
+            rng,
+            ..
+        } = self;
+        let (topo, config) = (*topo, *config);
+        let SimScratch {
+            queue,
+            on_air,
+            pending,
+            forwards,
+            drop_cause,
+            ..
+        } = scratch;
+        for mut fwd in forwards.drain(..) {
+            assert!(
+                topo.neighbors(sender).contains(&fwd.next_hop),
+                "protocol bug: {} forwarded to non-neighbor {}",
+                sender,
+                fwd.next_hop
+            );
+            fwd.packet.hops += 1;
+            if fwd.packet.hops > config.max_path_hops {
+                report.dropped_packets += 1;
+                record_drop(&fwd.packet.dests, pending, drop_cause, FailureCause::HopCap);
+                continue;
+            }
+            let bytes = if config.size_dependent_airtime {
+                fwd.packet.encoded_len(topo.positions_ref())
+            } else {
+                config.message_bytes
+            };
+            let link_m = topo.pos(sender).dist(topo.pos(fwd.next_hop));
+            // Under power control only nodes within the (reduced) radius
+            // overhear the transmission; the cutoff is a binary search in
+            // the distance-sorted neighbor list instead of an O(degree)
+            // filter.
+            let listeners = if config.power_control.is_some() {
+                let dists = topo.neighbor_distances(sender);
+                dists.partition_point(|&d| d <= link_m + gmp_geom::EPS)
+            } else {
+                topo.neighbors(sender).len()
+            };
+            report.transmissions += 1;
+            report.bytes_transmitted += bytes;
+            report.links.push((sender, fwd.next_hop));
+            report.link_times_s.push(queue.now());
+            report.energy_j += energy.transmission_energy(bytes, listeners, link_m);
+            let jitter = if config.tx_jitter_s > 0.0 {
+                rng.gen_range(0.0..=config.tx_jitter_s)
+            } else {
+                0.0
+            };
+            let sent_at = queue.now() + jitter;
+            let arrival = sent_at + energy.airtime(bytes);
+            if config.collisions {
+                on_air.push(sent_at, arrival, sender);
+            }
+            queue.schedule(
+                arrival,
+                Event::Deliver {
+                    to: fwd.next_hop,
+                    from: sender,
+                    sent_at,
+                    retries: 0,
+                    packet: fwd.packet,
+                },
+            );
+        }
     }
 }
 

@@ -3,6 +3,7 @@
 //! "For each task, we randomly pick a node as the source node and randomly
 //! pick k nodes as the destination nodes" (Section 5).
 
+use gmp_geom::Region;
 use gmp_net::{NodeId, Topology};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -59,6 +60,22 @@ impl MulticastTask {
         ids.shuffle(&mut rng);
         let source = ids[0];
         let dests = ids[1..=k].to_vec();
+        MulticastTask { source, dests }
+    }
+
+    /// A geocast task: `source` addresses every node inside `region`.
+    ///
+    /// The members (the nodes inside the region, in id order, minus the
+    /// source — which already holds the packet) become the destination
+    /// list, so the simulator scores coverage with its ordinary delivery
+    /// bookkeeping and fault oracle. Geocast protocols route by position
+    /// and the region alone and never consult this list.
+    pub fn geocast(topo: &Topology, source: NodeId, region: &Region) -> Self {
+        let dests = topo
+            .nodes()
+            .filter(|n| n.id != source && region.contains(n.pos))
+            .map(|n| n.id)
+            .collect();
         MulticastTask { source, dests }
     }
 

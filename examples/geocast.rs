@@ -3,7 +3,8 @@
 //!
 //! The packet approaches the region with GPSR-style geographic routing
 //! and floods inside it; compare the cost against naively multicasting to
-//! a pre-known member list with GMP.
+//! a pre-known member list with GMP, then rerun the geocast under node
+//! crashes and let the delivery oracle judge every missed member.
 //!
 //! ```sh
 //! cargo run --release --example geocast
@@ -12,8 +13,7 @@
 use gmp::geom::{Point, Region};
 use gmp::gmp::{GmpGeocast, GmpRouter};
 use gmp::net::{NodeId, Topology};
-use gmp::sim::geocast::{GeocastRunner, GeocastTask};
-use gmp::sim::{MulticastTask, SimConfig, TaskRunner};
+use gmp::sim::{FaultPlan, MulticastTask, SimConfig, TaskRunner};
 
 fn main() {
     let config = SimConfig::paper();
@@ -23,18 +23,17 @@ fn main() {
         center: Point::new(820.0, 780.0),
         radius: 150.0,
     };
-    let source = NodeId(0);
-    let task = GeocastTask {
-        source,
-        region: region.clone(),
-    };
+    // The members are resolved only to score coverage; the geocast router
+    // sees the region, never the list.
+    let task = MulticastTask::geocast(&topo, NodeId(0), &region);
 
-    let runner = GeocastRunner::new(&topo, &config);
-    let report = runner.run(&mut GmpGeocast::new(), &task);
+    let runner = TaskRunner::new(&topo, &config);
+    let report = runner.run(&mut GmpGeocast::new(region.clone()), &task);
+    let coverage = report.delivered_count() as f64 / task.k() as f64;
     println!(
         "geocast to a 150 m disk at (820, 780): {} members, coverage {:.0}%",
-        report.members.len(),
-        report.coverage() * 100.0
+        task.k(),
+        coverage * 100.0
     );
     println!(
         "  {} transmissions, {:.3} J",
@@ -43,17 +42,10 @@ fn main() {
 
     // For comparison: if the source somehow knew the member list, what
     // would GMP multicast cost?
-    let dests: Vec<NodeId> = report
-        .members
-        .iter()
-        .copied()
-        .filter(|&m| m != source)
-        .collect();
-    let mtask = MulticastTask::new(source, dests);
-    let mreport = TaskRunner::new(&topo, &config).run(&mut GmpRouter::new(), &mtask);
+    let mreport = runner.run(&mut GmpRouter::new(), &task);
     println!(
         "GMP multicast to the same {} nodes (member list known a priori):",
-        mtask.k()
+        task.k()
     );
     println!(
         "  {} transmissions, {:.3} J",
@@ -64,5 +56,22 @@ fn main() {
          knowledge",
         report.transmissions as f64 / mreport.transmissions as f64
     );
-    assert!(report.coverage() > 0.9);
+
+    // The same geocast with a share of the network crashed at t = 0.
+    println!("\nunder node crashes (delivered / members, unjustified failures):");
+    for fraction in [0.10, 0.25] {
+        let crashed =
+            config
+                .clone()
+                .with_faults(FaultPlan::random_crashes(topo.len(), fraction, 0.0, 77));
+        let r = TaskRunner::new(&topo, &crashed).run(&mut GmpGeocast::new(region.clone()), &task);
+        println!(
+            "  {:>3.0}% crashed: {} / {}, {} unjustified",
+            fraction * 100.0,
+            r.delivered_count(),
+            task.k(),
+            r.unjustified_failures().count()
+        );
+    }
+    assert!(coverage > 0.9);
 }

@@ -7,8 +7,7 @@ use gmp::gmp::{GmpGeocast, GmpRouter};
 use gmp::groups::{GroupId, GroupManager, MembershipTrace};
 use gmp::net::mobility::{broken_link_fraction, RandomWaypoint};
 use gmp::net::{NodeId, Topology};
-use gmp::sim::geocast::{GeocastRunner, GeocastTask};
-use gmp::sim::{SimConfig, TaskRunner};
+use gmp::sim::{MulticastTask, SimConfig, TaskRunner};
 use gmp::viz::SvgScene;
 
 #[test]
@@ -54,18 +53,12 @@ fn geocast_to_a_hull_of_observed_sensors() {
     ]);
     assert_eq!(hull.len(), 4);
     let region = Region::convex_polygon(hull);
-    let task = GeocastTask {
-        source: NodeId(0),
-        region,
-    };
-    let report = GeocastRunner::new(&topo, &config).run(&mut GmpGeocast::new(), &task);
-    assert!(!report.members.is_empty());
-    assert!(
-        report.coverage() >= 0.9,
-        "coverage {:.2}",
-        report.coverage()
-    );
-    assert!(report.transmissions >= report.reached.len());
+    let task = MulticastTask::geocast(&topo, NodeId(0), &region);
+    assert!(task.k() > 0);
+    let report = TaskRunner::new(&topo, &config).run(&mut GmpGeocast::new(region), &task);
+    let coverage = report.delivered_count() as f64 / task.k() as f64;
+    assert!(coverage >= 0.9, "coverage {coverage:.2}");
+    assert!(report.transmissions >= report.delivered_count());
 }
 
 #[test]
