@@ -13,10 +13,12 @@
 //!   (cached), advances node liveness as simulated time passes, and
 //!   answers per-delivery queries from the event loop.
 //! - The **oracle** ([`FaultScratch::classify_failures`]) — after a task,
-//!   computes ground-truth reachability on the faulted connectivity graph
-//!   and classifies every failed destination as *justified* (the graph
-//!   itself was disconnected) or a *protocol failure* (reachable but
-//!   undelivered), with the proximate [`FailureCause`] attached.
+//!   reads ground-truth reachability off memoized component labels of the
+//!   faulted connectivity graph (relabelled only when the topology, the
+//!   compiled plan or the down mask changes) and classifies every failed
+//!   destination as *justified* (the graph itself was disconnected) or a
+//!   *protocol failure* (reachable but undelivered), with the proximate
+//!   [`FailureCause`] attached.
 //!
 //! Everything is deterministic: a plan never consumes simulator RNG draws
 //! beyond the two legacy Bernoulli streams, and timed events are compiled

@@ -287,91 +287,94 @@ impl FaultPlan {
         self.link_loss_prob > 0.0 && rng.gen::<f64>() < self.link_loss_prob
     }
 
-    /// A structural fingerprint (FNV-1a over every field's bits), used to
-    /// key the compiled-plan cache. Plans with equal fingerprints compile
-    /// identically against the same topology.
+    /// A structural fingerprint (FNV-1a over every field's bits). Plans
+    /// with equal fingerprints almost surely compile identically against
+    /// the same topology; [`FaultPlan::same_bits`] is the exact test.
     pub fn fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.word(self.node_failure_prob.to_bits());
         h.word(self.link_loss_prob.to_bits());
         h.word(self.events.len() as u64);
         for ev in &self.events {
-            match *ev {
-                FaultEvent::Crash { node, at_s } => {
-                    h.word(1);
-                    h.word(node.0 as u64);
-                    h.word(at_s.to_bits());
-                }
-                FaultEvent::Blackout {
-                    region,
-                    start_s,
-                    end_s,
-                } => {
-                    h.word(2);
-                    match region {
-                        FaultRegion::Disk { center, radius } => {
-                            h.word(21);
-                            h.word(center.x.to_bits());
-                            h.word(center.y.to_bits());
-                            h.word(radius.to_bits());
-                        }
-                        FaultRegion::Rect { min, max } => {
-                            h.word(22);
-                            h.word(min.x.to_bits());
-                            h.word(min.y.to_bits());
-                            h.word(max.x.to_bits());
-                            h.word(max.y.to_bits());
-                        }
-                    }
-                    h.word(start_s.to_bits());
-                    h.word(end_s.to_bits());
-                }
-                FaultEvent::DutyCycle {
-                    period_s,
-                    on_fraction,
-                } => {
-                    h.word(3);
-                    h.word(period_s.to_bits());
-                    h.word(on_fraction.to_bits());
-                }
-                FaultEvent::LinkChurn {
-                    start_s,
-                    end_s,
-                    speed_mps,
-                    pause_s,
-                    seed,
-                } => {
-                    h.word(4);
-                    h.word(start_s.to_bits());
-                    h.word(end_s.to_bits());
-                    h.word(speed_mps.0.to_bits());
-                    h.word(speed_mps.1.to_bits());
-                    h.word(pause_s.0.to_bits());
-                    h.word(pause_s.1.to_bits());
-                    h.word(seed);
-                }
+            let (words, len) = ev.words();
+            for &w in &words[..len] {
+                h.word(w);
             }
         }
         h.finish()
     }
+
+    /// Exact structural equality over the same field bits the fingerprint
+    /// hashes: `f64`s compare by [`f64::to_bits`], so `0.0` and `-0.0`
+    /// differ and a NaN equals itself (unlike the derived `PartialEq`).
+    pub(crate) fn same_bits(&self, other: &FaultPlan) -> bool {
+        self.node_failure_prob.to_bits() == other.node_failure_prob.to_bits()
+            && self.link_loss_prob.to_bits() == other.link_loss_prob.to_bits()
+            && self.events.len() == other.events.len()
+            && self
+                .events
+                .iter()
+                .zip(&other.events)
+                .all(|(a, b)| a.words() == b.words())
+    }
+}
+
+impl FaultEvent {
+    /// The event as raw words — a kind tag, then every field's bits — in
+    /// a zero-padded array with the used length. The tag fixes the
+    /// length, so two events are bitwise equal iff their arrays are.
+    fn words(&self) -> ([u64; 8], usize) {
+        let b = f64::to_bits;
+        match *self {
+            FaultEvent::Crash { node, at_s } => ([1, node.0 as u64, b(at_s), 0, 0, 0, 0, 0], 3),
+            FaultEvent::Blackout {
+                region,
+                start_s,
+                end_s,
+            } => match region {
+                FaultRegion::Disk { center, radius } => {
+                    let (x, y, r) = (b(center.x), b(center.y), b(radius));
+                    ([2, 21, x, y, r, b(start_s), b(end_s), 0], 7)
+                }
+                FaultRegion::Rect { min, max } => {
+                    let (x0, y0, x1, y1) = (b(min.x), b(min.y), b(max.x), b(max.y));
+                    ([2, 22, x0, y0, x1, y1, b(start_s), b(end_s)], 8)
+                }
+            },
+            FaultEvent::DutyCycle {
+                period_s,
+                on_fraction,
+            } => ([3, b(period_s), b(on_fraction), 0, 0, 0, 0, 0], 3),
+            FaultEvent::LinkChurn {
+                start_s,
+                end_s,
+                speed_mps: (v0, v1),
+                pause_s: (p0, p1),
+                seed,
+            } => {
+                let (t0, t1) = (b(start_s), b(end_s));
+                ([4, t0, t1, b(v0), b(v1), b(p0), b(p1), seed], 8)
+            }
+        }
+    }
 }
 
 /// Minimal FNV-1a over u64 words.
-pub(crate) struct Fnv(u64);
+struct Fnv(u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
-    pub(crate) fn word(&mut self, w: u64) {
+    fn word(&mut self, w: u64) {
         for byte in w.to_le_bytes() {
             self.0 ^= byte as u64;
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    pub(crate) fn finish(&self) -> u64 {
+    fn finish(&self) -> u64 {
         self.0
     }
 }
@@ -446,6 +449,34 @@ mod tests {
         assert_ne!(
             FaultPlan::none().with_node_failure_prob(0.1).fingerprint(),
             FaultPlan::none().with_link_loss_prob(0.1).fingerprint()
+        );
+    }
+
+    #[test]
+    fn same_bits_is_exact_where_partial_eq_is_not() {
+        let a = FaultPlan::random_crashes(50, 0.2, 0.0, 3).with_link_churn(
+            1.0,
+            30.0,
+            (20.0, 40.0),
+            (0.0, 0.5),
+            5,
+        );
+        assert!(a.same_bits(&a.clone()));
+        assert!(!a.same_bits(&a.clone().with_crash(NodeId(1), 0.0)));
+        assert!(!a.same_bits(&FaultPlan::random_crashes(50, 0.2, 0.0, 4)));
+
+        let pos = FaultPlan::none().with_crash(NodeId(1), 0.0);
+        let neg = FaultPlan::none().with_crash(NodeId(1), -0.0);
+        assert_eq!(pos, neg, "PartialEq merges the zeros");
+        assert!(!pos.same_bits(&neg), "bit equality keeps them apart");
+        assert_ne!(pos.fingerprint(), neg.fingerprint());
+
+        let mut nan = FaultPlan::none();
+        nan.link_loss_prob = f64::NAN;
+        assert_ne!(nan, nan.clone(), "PartialEq: NaN != NaN");
+        assert!(
+            nan.same_bits(&nan.clone()),
+            "a NaN plan still hits its cache"
         );
     }
 

@@ -5,7 +5,7 @@ use gmp_net::mobility::RandomWaypoint;
 use gmp_net::{NodeId, Topology};
 
 use crate::cause::{FailedDest, FailureCause};
-use crate::plan::{FaultEvent, FaultPlan, FaultRegion, Fnv};
+use crate::plan::{FaultEvent, FaultPlan, FaultRegion};
 
 /// A liveness flip compiled from a crash or blackout edge.
 #[derive(Debug, Clone, Copy)]
@@ -201,36 +201,109 @@ impl CompiledPlan {
     }
 }
 
-/// A structural fingerprint of the topology, pairing with
-/// [`FaultPlan::fingerprint`] to key the compiled-plan cache.
-fn topology_token(topo: &Topology) -> u64 {
-    let mut h = Fnv::new();
-    h.word(topo.len() as u64);
-    h.word(topo.radio_range().to_bits());
-    for p in topo.positions_ref() {
-        h.word(p.x.to_bits());
-        h.word(p.y.to_bits());
+/// Label of a down node in [`ReachLabels::comp`].
+const NO_COMPONENT: u32 = u32::MAX;
+
+/// Connected-component labels of the oracle's excised graph — the
+/// unit-disk graph minus every ever-down or Bernoulli-dead node and every
+/// ever-severed link — memoized across tasks.
+///
+/// The labels are undirected, which is sound because every edge set
+/// involved is symmetric: the unit-disk adjacency, and the churn severing
+/// built from symmetric before/after unit-disk snapshots (pinned by
+/// `churn_severs_links_symmetrically_and_only_during_the_window`). A
+/// directed BFS from the source therefore reaches exactly the components
+/// of its live, unsevered neighbours.
+#[derive(Debug, Default)]
+struct ReachLabels {
+    /// Fingerprint of the topology the labels were computed on.
+    topo: Option<u64>,
+    /// Compile epoch of the severed-link set excised (`0` = none).
+    links: u64,
+    /// The exact down mask excised.
+    down: Vec<bool>,
+    /// Component of every live node; [`NO_COMPONENT`] for down nodes.
+    comp: Vec<u32>,
+    /// Per-component marks of the source's neighbourhood; all `false`
+    /// between calls.
+    hit: Vec<bool>,
+}
+
+impl ReachLabels {
+    /// Relabels every component of the graph minus `self.down` and the
+    /// `severed` directed links.
+    fn relabel(&mut self, topo: &Topology, severed: &[u64], stack: &mut Vec<u32>) {
+        self.comp.clear();
+        self.comp.resize(topo.len(), NO_COMPONENT);
+        let mut next = 0;
+        for s in 0..topo.len() {
+            if self.down[s] || self.comp[s] != NO_COMPONENT {
+                continue;
+            }
+            self.comp[s] = next;
+            stack.push(s as u32);
+            while let Some(u) = stack.pop() {
+                let u_id = NodeId(u);
+                for &v in topo.neighbors(u_id) {
+                    if self.down[v.index()]
+                        || self.comp[v.index()] != NO_COMPONENT
+                        || is_severed(severed, u_id, v)
+                    {
+                        continue;
+                    }
+                    self.comp[v.index()] = next;
+                    stack.push(v.0);
+                }
+            }
+            next += 1;
+        }
+        self.hit.clear();
+        self.hit.resize(next as usize, false);
     }
-    h.finish()
+
+    /// Marks (`on`) or clears the components of `source`'s live
+    /// neighbours whose link from `source` is not severed.
+    fn mark_source(&mut self, topo: &Topology, severed: &[u64], source: NodeId, on: bool) {
+        for &v in topo.neighbors(source) {
+            let c = self.comp[v.index()];
+            if c != NO_COMPONENT && !is_severed(severed, source, v) {
+                self.hit[c as usize] = on;
+            }
+        }
+    }
+}
+
+fn is_severed(severed: &[u64], from: NodeId, to: NodeId) -> bool {
+    severed.binary_search(&link_key(from, to)).is_ok()
 }
 
 /// Reusable per-task fault state: owns the compiled plan (cached across
-/// tasks keyed by plan + topology fingerprints), walks the liveness
-/// timeline as simulated time advances, and runs the post-task oracle.
+/// tasks, keyed on an exact copy of the plan plus the topology
+/// fingerprint), walks the liveness timeline as simulated time advances,
+/// and runs the post-task oracle over memoized component labels.
 ///
 /// The runner embeds one of these in its `SimScratch`; all methods are
 /// allocation-free after the first task against a given plan/topology.
 #[derive(Debug, Default)]
 pub struct FaultScratch {
     compiled: CompiledPlan,
-    cache_key: Option<(u64, u64)>,
+    /// Bit-exact copy of the plan `compiled` was built from.
+    compiled_plan: FaultPlan,
+    /// Fingerprint of the topology `compiled` was built against; `None`
+    /// before the first compile.
+    compiled_topo: Option<u64>,
+    /// Bumped on every compile, so labels excising one compile's severed
+    /// links are never reused under another's.
+    epoch: u64,
     /// Next transition to apply (index into `compiled.transitions`).
     cursor: usize,
     /// Nodes killed by the Bernoulli sample this task — an "up"
     /// transition must not resurrect them.
     bern_dead: Vec<bool>,
-    /// Oracle BFS state.
-    reach: Vec<bool>,
+    /// Oracle state: the memoized labels, the down mask rebuilt per call
+    /// to check them against, and the labelling stack.
+    labels: ReachLabels,
+    down: Vec<bool>,
     stack: Vec<u32>,
 }
 
@@ -254,10 +327,12 @@ impl FaultScratch {
         source: NodeId,
         alive: &mut [bool],
     ) {
-        let key = (plan.fingerprint(), topology_token(topo));
-        if self.cache_key != Some(key) {
+        let topo_fp = topo.fingerprint();
+        if self.compiled_topo != Some(topo_fp) || !self.compiled_plan.same_bits(plan) {
             self.compiled.compile(plan, topo);
-            self.cache_key = Some(key);
+            self.compiled_plan.clone_from(plan);
+            self.compiled_topo = Some(topo_fp);
+            self.epoch += 1;
         }
         self.cursor = 0;
         self.bern_dead.clear();
@@ -335,6 +410,17 @@ impl FaultScratch {
     /// reachable the entire run. Duty-cycle sleep is transient and never
     /// excuses a failure.
     ///
+    /// Reachability comes from component labels of the excised graph,
+    /// memoized across calls and keyed on the topology fingerprint, the
+    /// compiled plan, and the exact down mask (rebuilt and compared per
+    /// call, never hashed). A destination is reachable iff it is the
+    /// source or shares a component with one of the source's live,
+    /// unsevered neighbours — so a crashed source still reaches through
+    /// its links, as a BFS from it would. While the mask repeats (crash,
+    /// blackout and churn plans) a call costs one pass over the mask and
+    /// `pending` plus the source's degree; Bernoulli node failures change
+    /// the mask every task and relabel the whole graph each time.
+    ///
     /// Results are appended to `out` in ascending destination order.
     #[allow(clippy::too_many_arguments)]
     pub fn classify_failures(
@@ -348,48 +434,38 @@ impl FaultScratch {
         truncated: bool,
         out: &mut Vec<FailedDest>,
     ) {
-        let n = topo.len();
-        let node_down = |i: usize| {
-            if has_events {
-                self.bern_dead[i] || self.compiled.ever_down[i]
+        self.down.clear();
+        if has_events {
+            let ever_down = &self.compiled.ever_down;
+            self.down
+                .extend(self.bern_dead.iter().zip(ever_down).map(|(&b, &e)| b || e));
+        } else {
+            self.down.extend(alive.iter().map(|&a| !a));
+        }
+        let (severed, links): (&[u64], u64) =
+            if has_events && !self.compiled.ever_severed.is_empty() {
+                (&self.compiled.ever_severed, self.epoch)
             } else {
-                !alive[i]
-            }
-        };
-        let check_links = has_events && !self.compiled.ever_severed.is_empty();
+                (&[], 0)
+            };
 
-        self.reach.clear();
-        self.reach.resize(n, false);
-        self.stack.clear();
-        self.reach[source.index()] = true;
-        self.stack.push(source.0);
-        while let Some(u) = self.stack.pop() {
-            let u_id = NodeId(u);
-            for &v in topo.neighbors(u_id) {
-                if self.reach[v.index()] || node_down(v.index()) {
-                    continue;
-                }
-                if check_links
-                    && self
-                        .compiled
-                        .ever_severed
-                        .binary_search(&link_key(u_id, v))
-                        .is_ok()
-                {
-                    continue;
-                }
-                self.reach[v.index()] = true;
-                self.stack.push(v.0);
-            }
+        let labels = &mut self.labels;
+        let topo_fp = topo.fingerprint();
+        if labels.topo != Some(topo_fp) || labels.links != links || labels.down != self.down {
+            std::mem::swap(&mut labels.down, &mut self.down);
+            labels.relabel(topo, severed, &mut self.stack);
+            labels.topo = Some(topo_fp);
+            labels.links = links;
         }
 
+        labels.mark_source(topo, severed, source, true);
         for (i, &p) in pending.iter().enumerate() {
             if !p {
                 continue;
             }
-            let cause = if node_down(i) {
+            let cause = if labels.down[i] {
                 FailureCause::DestDead
-            } else if !self.reach[i] {
+            } else if i != source.index() && !labels.hit[labels.comp[i] as usize] {
                 FailureCause::Disconnected
             } else if truncated && drop_cause[i] == FailureCause::NoRoute {
                 FailureCause::Truncated
@@ -398,6 +474,7 @@ impl FaultScratch {
             };
             out.push(FailedDest::new(NodeId(i as u32), cause));
         }
+        labels.mark_source(topo, severed, source, false);
     }
 }
 
@@ -579,15 +656,15 @@ mod tests {
         let mut scratch = FaultScratch::new();
         let mut alive = vec![true; 5];
         scratch.begin_task(&plan, &topo, NodeId(0), &mut alive);
-        let key = scratch.cache_key;
+        let epoch = scratch.epoch;
         scratch.advance_to(5.0, NodeId(0), &mut alive);
         alive.iter_mut().for_each(|a| *a = true);
         scratch.begin_task(&plan, &topo, NodeId(0), &mut alive);
-        assert_eq!(scratch.cache_key, key);
+        assert_eq!(scratch.epoch, epoch);
         assert_eq!(scratch.cursor, 0, "timeline rewinds per task");
         let other = plan.clone().with_crash(NodeId(3), 2.0);
         scratch.begin_task(&other, &topo, NodeId(0), &mut alive);
-        assert_ne!(scratch.cache_key, key, "different plan recompiles");
+        assert_ne!(scratch.epoch, epoch, "different plan recompiles");
     }
 
     #[test]

@@ -140,6 +140,7 @@ pub struct Topology {
     gabriel: OnceLock<Csr<NodeId>>,
     rng_graph: OnceLock<Csr<NodeId>>,
     neighbor_dists: OnceLock<Csr<f64>>,
+    fingerprint: OnceLock<u64>,
 }
 
 impl Topology {
@@ -168,6 +169,7 @@ impl Topology {
             gabriel: OnceLock::new(),
             rng_graph: OnceLock::new(),
             neighbor_dists: OnceLock::new(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -378,6 +380,28 @@ impl Topology {
         all.row(id.index())
     }
 
+    /// A structural fingerprint: FNV-1a over the node count, the radio
+    /// range and every position's bits — everything the unit-disk
+    /// adjacency is built from. Computed lazily once and cached (a
+    /// topology has no mutating API), so callers that key per-task caches
+    /// on it pay one load after the first call. The deployment area is
+    /// not hashed.
+    pub fn fingerprint(&self) -> u64 {
+        *self.fingerprint.get_or_init(|| {
+            let positions = self
+                .positions
+                .iter()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits()]);
+            [self.len() as u64, self.radio_range.to_bits()]
+                .into_iter()
+                .chain(positions)
+                .flat_map(u64::to_le_bytes)
+                .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        })
+    }
+
     /// Whether the unit-disk graph is connected (BFS from node 0).
     pub fn is_connected(&self) -> bool {
         if self.positions.is_empty() {
@@ -543,6 +567,24 @@ mod tests {
         let config = TopologyConfig::new(300.0, 50, 100.0);
         let topo = Topology::random(&config, 9);
         assert_eq!(topo.positions(), topo.positions_ref().to_vec());
+    }
+
+    #[test]
+    fn fingerprint_is_stable_and_separates_positions_and_range() {
+        let topo = Topology::random(&TopologyConfig::paper(), 42);
+        let fp = topo.fingerprint();
+        assert_eq!(topo.fingerprint(), fp, "stable across calls");
+        // Pinned: the fault crate keys its compiled-plan cache on this
+        // value, so the hash must not change meaning.
+        assert_eq!(fp, 0x13f2_4648_35cb_07ca);
+
+        let mut positions = topo.positions();
+        positions[500].x = f64::from_bits(positions[500].x.to_bits() ^ 1);
+        let nudged = Topology::from_positions(positions, topo.area(), topo.radio_range());
+        assert_ne!(nudged.fingerprint(), fp, "one position bit");
+
+        let wider = Topology::from_positions(topo.positions(), topo.area(), 150.5);
+        assert_ne!(wider.fingerprint(), fp, "radio range");
     }
 
     #[test]

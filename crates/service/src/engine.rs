@@ -134,7 +134,11 @@ pub struct SessionOutcome {
     pub report: TaskReport,
     /// Routing decisions the session made.
     pub decisions: usize,
-    /// Wall-clock time from admission to completion, seconds.
+    /// Wall-clock seconds from the return of [`Session::begin`] to the
+    /// call of [`Session::finish`]: the time the session spent queued
+    /// and stepping in the event wheel. The source's initial routing
+    /// decision (inside `begin`) and the delivery oracle (inside
+    /// `finish`) are not included.
     pub latency_s: f64,
 }
 
