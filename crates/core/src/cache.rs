@@ -19,16 +19,22 @@
 //! them exactly** (positions compared by `f64` bit pattern), and a lookup
 //! only serves the stored grouping after verifying every one — so a hit
 //! is *proven* equal to what recomputation would produce, not assumed
-//! from a hash. Quantized positions appear in the fingerprint purely to
-//! find the candidate entry; correctness never rests on the hash.
+//! from a hash. The fingerprint only finds the candidate entry, and it
+//! hashes ids and bit patterns alone: the node id, the flags, the
+//! perimeter entry's bits, the destination ids and the indices of dead
+//! neighbors. It reads no position, so a different topology behind the
+//! same ids lands on the same probe and is turned away by the exact check;
+//! correctness never rests on the hash.
 //!
-//! A verification failure (hash collision, a node's liveness flipped by a
-//! fault plan, even a different topology behind the same ids) falls back
-//! to a full rebuild — this is how `gmp-faults` liveness changes
-//! invalidate affected entries without any out-of-band notification.
+//! Any input change the fingerprint misses (a hash collision, a different
+//! topology behind the same ids) fails verification and falls back to a
+//! full rebuild; a liveness flip changes the dead-neighbor indices and so
+//! the probe itself. Either way `gmp-faults` liveness changes invalidate
+//! affected entries without any out-of-band notification.
 //!
 //! The liveness bits are *normalized*: a `None` view and an all-`true`
-//! slice store identical bits. That is sound because the grouping's only
+//! slice have no dead neighbors, so they share one fingerprint and store
+//! identical bits. That is sound because the grouping's only
 //! read of the view — the candidate filter at the top of
 //! `find_next_hop`'s neighbor loop — precedes all floating-point work, so
 //! the two views are bit-identical by construction (the zero-fault parity
@@ -45,11 +51,6 @@ use gmp_geom::Point;
 use gmp_net::{NodeId, Topology};
 
 use crate::grouping::{DecisionScratch, Grouping};
-
-/// Position quantization step of the lookup fingerprint, meters. It only
-/// shapes which probe a decision lands under: the exact validity check
-/// rejects any false merge, so it can never change an outcome.
-const QUANTUM: f64 = 1e-3;
 
 /// Probe window width: a fingerprint may land in any of this many
 /// consecutive slots.
@@ -146,24 +147,88 @@ impl CacheStats {
     }
 }
 
-/// One published decision: its lookup fingerprint, every exact input, and
-/// the resulting grouping. Immutable once published; boxed so the slot
-/// table holds one pointer per slot and publication is a single atomic
-/// install.
+// Word layout of a packed [`CacheEntry`]. A fixed header, then:
+//
+// * one [`RECORD`] per destination, then one per neighbor: the node id
+//   and its position's bits;
+// * the dead-neighbor bitmap, `⌈m / 32⌉` words: bit `i % 32` of word
+//   `i / 32` is set iff neighbor `i` is dead in the decision's view;
+// * the void destination ids;
+// * each covered group as `[next hop, length, destination ids…]`, to the
+//   end of the entry.
+//
+// An `f64` takes two words, low half first.
+
+/// Header word: the deciding node's id.
+const NODE: usize = 0;
+/// Header word: [`Decision::flags`].
+const FLAGS: usize = 1;
+/// Header word: the destination count `k`.
+const DEST_COUNT: usize = 2;
+/// Header word: the neighbor count `m`.
+const NEIGHBOR_COUNT: usize = 3;
+/// Header word: the void destination count.
+const VOID_COUNT: usize = 4;
+/// Header words: the radio range.
+const RANGE: usize = 5;
+/// Header words: the deciding node's position.
+const NODE_POS: usize = 7;
+/// Header words: the perimeter entry point (zero when absent).
+const ENTRY_POS: usize = 11;
+/// Header length in words.
+const HEADER: usize = 15;
+/// Words per (node id, position) record.
+const RECORD: usize = 5;
+
+/// One published decision: every exact input and the resulting grouping,
+/// packed into a single allocation of 32-bit words (layout above).
+/// Immutable once published.
 #[derive(Debug)]
 struct CacheEntry {
-    fp: u64,
-    node: NodeId,
-    node_pos: Point,
-    radio_range: f64,
-    rra: bool,
-    perimeter_entry: Option<Point>,
-    dests: Vec<NodeId>,
-    dest_pos: Vec<Point>,
-    neighbors: Vec<NodeId>,
-    neighbor_pos: Vec<Point>,
-    neighbor_alive: Vec<bool>,
-    grouping: Grouping,
+    words: Box<[u32]>,
+}
+
+/// An `f64`'s bits as two words, low half first.
+#[inline]
+fn bits_words(bits: u64) -> [u32; 2] {
+    [bits as u32, (bits >> 32) as u32]
+}
+
+/// A point's coordinate bits as four words.
+#[inline]
+fn point_words(p: Point) -> [u32; 4] {
+    let ([x0, x1], [y0, y1]) = (bits_words(p.x.to_bits()), bits_words(p.y.to_bits()));
+    [x0, x1, y0, y1]
+}
+
+#[inline]
+fn bits_at(words: &[u32], at: usize) -> u64 {
+    u64::from(words[at]) | u64::from(words[at + 1]) << 32
+}
+
+/// `true` iff the four words at `at` hold exactly `p`'s bits.
+#[inline]
+fn point_at(words: &[u32], at: usize, p: Point) -> bool {
+    bits_at(words, at) == p.x.to_bits() && bits_at(words, at + 2) == p.y.to_bits()
+}
+
+impl CacheEntry {
+    /// Serves the stored grouping into `scratch`.
+    fn load_into(&self, scratch: &mut DecisionScratch) {
+        let w = &self.words;
+        let (k, m) = (w[DEST_COUNT] as usize, w[NEIGHBOR_COUNT] as usize);
+        let voids_at = HEADER + RECORD * (k + m) + m.div_ceil(32);
+        let (voids, mut groups) = w[voids_at..].split_at(w[VOID_COUNT] as usize);
+        let groups = std::iter::from_fn(move || {
+            let [hop, len, rest @ ..] = groups else {
+                return None;
+            };
+            let (ids, tail) = rest.split_at(*len as usize);
+            groups = tail;
+            Some((NodeId(*hop), ids.iter().map(|&d| NodeId(d))))
+        });
+        scratch.load_grouping(voids.iter().map(|&v| NodeId(v)), groups);
+    }
 }
 
 /// The inputs of one forwarding decision, bundled so the fingerprint, the
@@ -185,17 +250,26 @@ fn mix(h: u64, v: u64) -> u64 {
     (h.rotate_left(5) ^ v).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
 }
 
-#[inline]
-fn point_bits_eq(a: Point, b: Point) -> bool {
-    a.x.to_bits() == b.x.to_bits() && a.y.to_bits() == b.y.to_bits()
-}
-
 impl Decision<'_> {
-    /// The normalized liveness bit for one neighbor (see the module docs
-    /// for why `None` and all-`true` may share it).
+    /// Bit 0: radio-range aware; bit 1: a perimeter entry point is set.
     #[inline]
-    fn alive_bit(&self, n: NodeId) -> bool {
-        self.alive.is_none_or(|a| a[n.index()])
+    fn flags(&self) -> u32 {
+        u32::from(self.radio_range_aware) | u32::from(self.perimeter_entry.is_some()) << 1
+    }
+
+    /// The dead-neighbor bitmap word for `chunk` (at most 32 neighbors):
+    /// bit `i` set iff `chunk[i]` is dead in the view. `None` has no dead
+    /// neighbors, so it shares every word with an all-`true` view (see the
+    /// module docs for why that is sound).
+    #[inline]
+    fn dead_word(&self, chunk: &[NodeId]) -> u32 {
+        let Some(alive) = self.alive else {
+            return 0;
+        };
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0, |bits, (i, n)| bits | u32::from(!alive[n.index()]) << i)
     }
 
     /// The uncached decision, computed into `scratch`.
@@ -210,97 +284,103 @@ impl Decision<'_> {
         );
     }
 
-    /// The lookup fingerprint: node id, flags, and *quantized* positions
-    /// mixed into 64 bits. Only a probe — every served decision is
-    /// re-verified against exact inputs.
+    /// The lookup fingerprint: node id, flags, the perimeter entry's bits,
+    /// the destination ids and the indices of dead neighbors, mixed into
+    /// 64 bits. Ids and bit patterns only — no position is read, and the
+    /// neighbor walk is skipped when there is no liveness view. Only a
+    /// probe: every served decision is re-verified against exact inputs.
     fn fingerprint(&self) -> u64 {
-        let quant = |c: f64| (c * (1.0 / QUANTUM)).round() as i64 as u64;
-        let topo = self.topo;
-        let mut h = mix(0x9e37_79b9_7f4a_7c15, self.node.0 as u64);
-        h = mix(h, self.radio_range_aware as u64);
-        let here = topo.pos(self.node);
-        h = mix(h, quant(here.x));
-        h = mix(h, quant(here.y));
-        match self.perimeter_entry {
-            Some(e) => {
-                h = mix(h, 1);
-                h = mix(h, quant(e.x));
-                h = mix(h, quant(e.y));
-            }
-            None => h = mix(h, 2),
+        let mut h = mix(0x9e37_79b9_7f4a_7c15, u64::from(self.node.0));
+        h = mix(h, u64::from(self.flags()));
+        if let Some(e) = self.perimeter_entry {
+            h = mix(h, e.x.to_bits());
+            h = mix(h, e.y.to_bits());
         }
         for &d in self.dests {
-            let p = topo.pos(d);
-            h = mix(h, d.0 as u64);
-            h = mix(h, quant(p.x));
-            h = mix(h, quant(p.y));
+            h = mix(h, u64::from(d.0));
         }
-        // Normalized per-neighbor liveness, folded in as a running bit
-        // string so dead-neighbor variants get their own probe.
-        let mut bits = 1u64;
-        for &n in topo.neighbors(self.node) {
-            bits = (bits << 1) | self.alive_bit(n) as u64;
-            if bits >> 63 == 1 {
-                h = mix(h, bits);
-                bits = 1;
+        if let Some(alive) = self.alive {
+            for (i, n) in self.topo.neighbors(self.node).iter().enumerate() {
+                if !alive[n.index()] {
+                    // Bit 32 keeps dead indices apart from node ids.
+                    h = mix(h, 1 << 32 | i as u64);
+                }
             }
         }
-        mix(h, bits)
+        h
     }
 
     /// The exact-input validity check: `true` iff recomputing this
-    /// decision is guaranteed to reproduce `entry.grouping` (every value
+    /// decision is guaranteed to reproduce `entry`'s grouping (every value
     /// the decision reads is compared, positions by bit pattern).
     fn matches(&self, entry: &CacheEntry) -> bool {
         let topo = self.topo;
-        let entry_eq = match (entry.perimeter_entry, self.perimeter_entry) {
-            (None, None) => true,
-            (Some(p), Some(q)) => point_bits_eq(p, q),
-            _ => false,
+        let w = &entry.words;
+        let neighbors = topo.neighbors(self.node);
+        let (k, m) = (self.dests.len(), neighbors.len());
+        if w[NODE] != self.node.0
+            || w[FLAGS] != self.flags()
+            || w[DEST_COUNT] as usize != k
+            || w[NEIGHBOR_COUNT] as usize != m
+            || bits_at(w, RANGE) != topo.radio_range().to_bits()
+            || !point_at(w, NODE_POS, topo.pos(self.node))
+            || self
+                .perimeter_entry
+                .is_some_and(|e| !point_at(w, ENTRY_POS, e))
+        {
+            return false;
+        }
+        let records_match = |records: &[u32], ids: &[NodeId]| {
+            records
+                .chunks_exact(RECORD)
+                .zip(ids)
+                .all(|(r, &id)| r[0] == id.0 && point_at(r, 1, topo.pos(id)))
         };
-        entry.node == self.node
-            && entry.rra == self.radio_range_aware
-            && entry.radio_range.to_bits() == topo.radio_range().to_bits()
-            && point_bits_eq(entry.node_pos, topo.pos(self.node))
-            && entry_eq
-            && entry.dests == self.dests
-            && entry
-                .dest_pos
+        let (dest_records, rest) = w[HEADER..].split_at(RECORD * k);
+        let (neighbor_records, rest) = rest.split_at(RECORD * m);
+        records_match(dest_records, self.dests)
+            && records_match(neighbor_records, neighbors)
+            && rest
                 .iter()
-                .zip(self.dests)
-                .all(|(&p, &d)| point_bits_eq(p, topo.pos(d)))
-            && entry.neighbors == topo.neighbors(self.node)
-            && entry
-                .neighbor_pos
-                .iter()
-                .zip(&entry.neighbors)
-                .all(|(&p, &n)| point_bits_eq(p, topo.pos(n)))
-            && entry
-                .neighbor_alive
-                .iter()
-                .zip(&entry.neighbors)
-                .all(|(&bit, &n)| bit == self.alive_bit(n))
+                .zip(neighbors.chunks(32))
+                .all(|(&dead, chunk)| dead == self.dead_word(chunk))
     }
 
     /// A publishable entry recording this decision's exact inputs and its
-    /// freshly computed `grouping`.
-    fn entry(&self, fp: u64, grouping: &Grouping) -> Box<CacheEntry> {
+    /// freshly computed `grouping`, in one allocation.
+    fn entry(&self, grouping: &Grouping) -> CacheEntry {
         let topo = self.topo;
         let neighbors = topo.neighbors(self.node);
-        Box::new(CacheEntry {
-            fp,
-            node: self.node,
-            node_pos: topo.pos(self.node),
-            radio_range: topo.radio_range(),
-            rra: self.radio_range_aware,
-            perimeter_entry: self.perimeter_entry,
-            dests: self.dests.to_vec(),
-            dest_pos: self.dests.iter().map(|&d| topo.pos(d)).collect(),
-            neighbors: neighbors.to_vec(),
-            neighbor_pos: neighbors.iter().map(|&n| topo.pos(n)).collect(),
-            neighbor_alive: neighbors.iter().map(|&n| self.alive_bit(n)).collect(),
-            grouping: grouping.clone(),
-        })
+        let (k, m) = (self.dests.len(), neighbors.len());
+        let group_words: usize = grouping.covered.iter().map(|g| 2 + g.dests.len()).sum();
+        let len = HEADER + RECORD * (k + m) + m.div_ceil(32) + grouping.voids.len() + group_words;
+        let mut words = Vec::with_capacity(len);
+        words.extend([
+            self.node.0,
+            self.flags(),
+            k as u32,
+            m as u32,
+            grouping.voids.len() as u32,
+        ]);
+        words.extend(bits_words(topo.radio_range().to_bits()));
+        words.extend(point_words(topo.pos(self.node)));
+        words.extend(point_words(self.perimeter_entry.unwrap_or(Point::ORIGIN)));
+        words.resize(HEADER + RECORD * (k + m), 0);
+        let ids = self.dests.iter().chain(neighbors);
+        for (r, &id) in words[HEADER..].chunks_exact_mut(RECORD).zip(ids) {
+            r[0] = id.0;
+            r[1..].copy_from_slice(&point_words(topo.pos(id)));
+        }
+        words.extend(neighbors.chunks(32).map(|chunk| self.dead_word(chunk)));
+        words.extend(grouping.voids.iter().map(|v| v.0));
+        for g in &grouping.covered {
+            words.extend([g.next_hop.0, g.dests.len() as u32]);
+            words.extend(g.dests.iter().map(|d| d.0));
+        }
+        debug_assert_eq!(words.len(), len);
+        CacheEntry {
+            words: words.into_boxed_slice(),
+        }
     }
 }
 
@@ -315,13 +395,20 @@ impl Decision<'_> {
 /// # Design
 ///
 /// The table is a fixed power-of-two array of `OnceLock` slots, each
-/// holding at most one immutable published decision. A lookup probes the
-/// 4-slot window starting at the fingerprint's bucket; reading a slot is
-/// [`OnceLock::get`] — one atomic load on the hot path, no lock, no bus
-/// traffic beyond the counters. A miss computes the decision in the
-/// caller's scratch and then *publishes* it into the first empty slot in
-/// the window via [`OnceLock::set`]; the first writer wins and entries
-/// are never mutated or evicted afterwards. Stats are relaxed atomics.
+/// holding at most one immutable published decision: its fingerprint tag
+/// inline, next to the pointer to its packed entry (32 B a slot). A lookup
+/// probes the 4-slot window starting at the fingerprint's bucket; reading
+/// a slot is [`OnceLock::get`] — one atomic load on the hot path, no lock,
+/// no bus traffic beyond the counters — and the tags are compared in the
+/// slot array itself, so an entry is dereferenced only when its tag
+/// matches. A miss computes the decision in the caller's scratch and then
+/// *publishes* it into the first empty slot in the window via
+/// [`OnceLock::set`]; the first writer wins and entries are never mutated
+/// or evicted afterwards. Stats are relaxed atomics.
+///
+/// Slots fill monotonically and a publish takes the first empty way of its
+/// window, so a probe stops at the first empty way: no entry under its
+/// fingerprint (which fixes the window) can lie beyond it.
 ///
 /// There is no eviction: if a window is full, the decision is recomputed
 /// each time (counted as a miss) — eviction under concurrency would need
@@ -341,8 +428,8 @@ impl Decision<'_> {
 /// # Why warmed lookups stay allocation-free
 ///
 /// Slot fills are monotonic (empty → published, never back), and a
-/// lookup boxes a new entry only after probing its whole window. Replay
-/// a workload once to warm the table: every decision the replay needs is
+/// lookup allocates a new entry only after probing its window. Replay a
+/// workload once to warm the table: every decision the replay needs is
 /// now resident (published by whichever thread got there first), so
 /// subsequent replays take the `get`-verify-serve path exclusively —
 /// zero allocations, regardless of worker count or interleaving. The
@@ -352,7 +439,8 @@ pub struct ConcurrentTreeCache {
     config: CacheConfig,
     /// Bucket mask; `slots.len()` is `0` or a power of two `>= WAYS`.
     mask: usize,
-    slots: Vec<OnceLock<Box<CacheEntry>>>,
+    /// Each published decision with its fingerprint tag.
+    slots: Vec<OnceLock<(u64, CacheEntry)>>,
     hits: AtomicU64,
     misses: AtomicU64,
     fallbacks: AtomicU64,
@@ -446,34 +534,35 @@ impl ConcurrentTreeCache {
         let base = fp as usize & self.mask;
         let window = |way: usize| &self.slots[(base + way) & self.mask];
         let mut stale = false;
+        let mut vacant = WAYS;
         for way in 0..WAYS {
-            let Some(entry) = window(way).get() else {
-                continue;
+            let Some((tag, entry)) = window(way).get() else {
+                // Nothing under `fp` lies past the first empty way (see
+                // "Design" above).
+                vacant = way;
+                break;
             };
-            if entry.fp != fp {
+            if *tag != fp {
                 continue;
             }
             if decision.matches(entry) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
+                entry.load_into(scratch);
                 if self.config.paranoid {
-                    // Recompute-and-compare mode: the recomputed grouping
-                    // is returned (it is asserted identical, so the
-                    // choice is immaterial).
+                    let served = scratch.grouping_ref().clone();
                     decision.compute_into(scratch);
                     assert_eq!(
                         scratch.grouping_ref(),
-                        &entry.grouping,
+                        &served,
                         "paranoid cache check failed at node {node} for {dests:?}"
                     );
-                } else {
-                    scratch.load_grouping(&entry.grouping);
                 }
                 return scratch.grouping_ref();
             }
-            // Same fingerprint, different exact inputs (collision after
-            // quantization). Immutable entries can't be replaced, so this
-            // probe recomputes; the corrected decision may still land in
-            // a later way of the window.
+            // Same fingerprint, different exact inputs (a hash collision,
+            // or a different topology behind the same ids). Immutable
+            // entries can't be replaced, so this probe recomputes; the
+            // corrected decision may still land in a later way.
             stale = true;
         }
 
@@ -482,27 +571,26 @@ impl ConcurrentTreeCache {
         decision.compute_into(scratch);
 
         // Publish into the first empty way. A resident entry that holds
-        // *this* decision (same fingerprint and exact inputs — e.g. a
-        // racing publisher beat us) ends the walk; a same-fingerprint
-        // collision does not, so the corrected decision can land in a
-        // later way where the probe loop will find it.
-        let resident = |entry: &CacheEntry| entry.fp == fp && decision.matches(entry);
-        let mut boxed: Option<Box<CacheEntry>> = None;
-        for way in 0..WAYS {
+        // *this* decision (a racing publisher beat us) ends the walk; a
+        // same-fingerprint collision does not, so the corrected decision
+        // can land in a later way where the probe loop will find it.
+        let resident = |(tag, entry): &(u64, CacheEntry)| *tag == fp && decision.matches(entry);
+        let mut boxed: Option<(u64, CacheEntry)> = None;
+        for way in vacant..WAYS {
             let slot = window(way);
-            if let Some(entry) = slot.get() {
-                if resident(entry) {
+            if let Some(published) = slot.get() {
+                if resident(published) {
                     break;
                 }
                 continue;
             }
             let candidate = boxed
                 .take()
-                .unwrap_or_else(|| decision.entry(fp, scratch.grouping_ref()));
+                .unwrap_or_else(|| (fp, decision.entry(scratch.grouping_ref())));
             match slot.set(candidate) {
                 Ok(()) => break,
                 Err(lost) => {
-                    if slot.get().is_some_and(|winner| resident(winner)) {
+                    if slot.get().is_some_and(resident) {
                         break;
                     }
                     boxed = Some(lost);
@@ -765,6 +853,83 @@ mod tests {
             .clone();
         assert_eq!(again_dead, expect_dead);
         assert_eq!(cache.stats().hits, 3);
+    }
+
+    #[test]
+    fn moved_node_behind_the_same_ids_is_never_served() {
+        // The fingerprint reads no position, so a topology that differs
+        // only in one node's position probes the same slots: the exact
+        // check alone must keep every decision that reads the moved node
+        // from being served the other topology's grouping.
+        let original = topo();
+        let moved = NodeId(42);
+        let mut decisions: Vec<(NodeId, Vec<NodeId>)> = Vec::new();
+        for (i, &node) in original.neighbors(moved).iter().take(8).enumerate() {
+            let mut dests = dests_for(i as u64, &original, node);
+            if i % 2 == 0 {
+                dests.push(moved);
+                dests.sort();
+                dests.dedup();
+            }
+            decisions.push((node, dests));
+        }
+        decisions.push((moved, dests_for(9, &original, moved)));
+        for seed in 0..12u64 {
+            let node = NodeId((seed * 71 % 300) as u32);
+            decisions.push((node, dests_for(seed, &original, node)));
+        }
+        // From a sub-ulp-of-a-meter nudge that keeps every neighbor list to
+        // a move that rewires them.
+        for shift in [1e-9, 0.5, 40.0] {
+            let mut positions = original.positions();
+            positions[moved.index()].x += shift;
+            let shifted =
+                Topology::from_positions(positions, original.area(), original.radio_range());
+            let reads_moved = |node: NodeId, dests: &[NodeId]| {
+                node == moved
+                    || dests.contains(&moved)
+                    || original.neighbors(node).contains(&moved)
+                    || shifted.neighbors(node).contains(&moved)
+            };
+            let cache = ConcurrentTreeCache::with_config(CacheConfig::default());
+            let mut scratch = DecisionScratch::new();
+            let mut lookup = |topo: &Topology, node: NodeId, dests: &[NodeId]| {
+                let before = cache.stats();
+                let got = cache
+                    .group_destinations_cached(&mut scratch, topo, node, dests, true, None, None)
+                    .clone();
+                assert_eq!(got, group_destinations(topo, node, dests, true, None));
+                let after = cache.stats();
+                (after.hits - before.hits, after.fallbacks - before.fallbacks)
+            };
+            for (node, dests) in &decisions {
+                lookup(&original, *node, dests);
+            }
+            let mut fallbacks = 0;
+            for (node, dests) in &decisions {
+                let (hits, fell_back) = lookup(&shifted, *node, dests);
+                if reads_moved(*node, dests) {
+                    assert_eq!(
+                        hits, 0,
+                        "shift {shift}: node {node} served a moved decision"
+                    );
+                    fallbacks += fell_back;
+                } else {
+                    assert_eq!(hits, 1, "shift {shift}: node {node} unaffected by the move");
+                }
+            }
+            assert!(
+                fallbacks > 0,
+                "shift {shift}: no same-tag entry was turned away"
+            );
+            // Both topologies' entries are now resident side by side, and
+            // each topology is served its own.
+            for topo in [&original, &shifted] {
+                for (node, dests) in &decisions {
+                    lookup(topo, *node, dests);
+                }
+            }
+        }
     }
 
     #[test]

@@ -190,24 +190,26 @@ impl DecisionScratch {
         &self.grouping
     }
 
-    /// Replaces the last decision with a copy of `src`, recycling the
-    /// current groups' vectors through the pool — the cache-hit path,
-    /// allocation-free once the pool is warm.
-    pub(crate) fn load_grouping(&mut self, src: &Grouping) {
+    /// Replaces the last decision with `voids` and the `groups` (next hop,
+    /// destinations) the cache serves, recycling the current groups'
+    /// vectors through the pool — the cache-hit path, allocation-free once
+    /// the pool is warm.
+    pub(crate) fn load_grouping<D: IntoIterator<Item = NodeId>>(
+        &mut self,
+        voids: impl IntoIterator<Item = NodeId>,
+        groups: impl IntoIterator<Item = (NodeId, D)>,
+    ) {
         let dst = &mut self.grouping;
         for mut g in dst.covered.drain(..) {
             g.dests.clear();
             self.group_pool.push(g.dests);
         }
         dst.voids.clear();
-        dst.voids.extend_from_slice(&src.voids);
-        for g in &src.covered {
+        dst.voids.extend(voids);
+        for (next_hop, members) in groups {
             let mut dests = self.group_pool.pop().unwrap_or_default();
-            dests.extend_from_slice(&g.dests);
-            dst.covered.push(CoveredGroup {
-                dests,
-                next_hop: g.next_hop,
-            });
+            dests.extend(members);
+            dst.covered.push(CoveredGroup { dests, next_hop });
         }
     }
 }

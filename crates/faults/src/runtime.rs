@@ -277,10 +277,25 @@ fn is_severed(severed: &[u64], from: NodeId, to: NodeId) -> bool {
     severed.binary_search(&link_key(from, to)).is_ok()
 }
 
+/// What a compiled plan depends on besides the plan itself: the topology
+/// fingerprint (node count, radio range, positions) and the bits of the
+/// deployment area, which the fingerprint leaves out but churn compilation
+/// reads (the waypoint walk roams the area).
+type CompileKey = (u64, [u64; 4]);
+
+fn compile_key(topo: &Topology) -> CompileKey {
+    let area = topo.area();
+    (
+        topo.fingerprint(),
+        [area.min.x, area.min.y, area.max.x, area.max.y].map(f64::to_bits),
+    )
+}
+
 /// Reusable per-task fault state: owns the compiled plan (cached across
 /// tasks, keyed on an exact copy of the plan plus the topology
-/// fingerprint), walks the liveness timeline as simulated time advances,
-/// and runs the post-task oracle over memoized component labels.
+/// fingerprint and the deployment area's bits), walks the liveness
+/// timeline as simulated time advances, and runs the post-task oracle
+/// over memoized component labels.
 ///
 /// The runner embeds one of these in its `SimScratch`; all methods are
 /// allocation-free after the first task against a given plan/topology.
@@ -289,9 +304,9 @@ pub struct FaultScratch {
     compiled: CompiledPlan,
     /// Bit-exact copy of the plan `compiled` was built from.
     compiled_plan: FaultPlan,
-    /// Fingerprint of the topology `compiled` was built against; `None`
-    /// before the first compile.
-    compiled_topo: Option<u64>,
+    /// Key of the topology `compiled` was built against ([`compile_key`]);
+    /// `None` before the first compile.
+    compiled_topo: Option<CompileKey>,
     /// Bumped on every compile, so labels excising one compile's severed
     /// links are never reused under another's.
     epoch: u64,
@@ -327,11 +342,11 @@ impl FaultScratch {
         source: NodeId,
         alive: &mut [bool],
     ) {
-        let topo_fp = topo.fingerprint();
-        if self.compiled_topo != Some(topo_fp) || !self.compiled_plan.same_bits(plan) {
+        let key = compile_key(topo);
+        if self.compiled_topo != Some(key) || !self.compiled_plan.same_bits(plan) {
             self.compiled.compile(plan, topo);
             self.compiled_plan.clone_from(plan);
-            self.compiled_topo = Some(topo_fp);
+            self.compiled_topo = Some(key);
             self.epoch += 1;
         }
         self.cursor = 0;
@@ -665,6 +680,43 @@ mod tests {
         let other = plan.clone().with_crash(NodeId(3), 2.0);
         scratch.begin_task(&other, &topo, NodeId(0), &mut alive);
         assert_ne!(scratch.epoch, epoch, "different plan recompiles");
+    }
+
+    #[test]
+    fn compiled_plan_is_keyed_on_the_deployment_area() {
+        // Two topologies identical but for their area: the fingerprint
+        // cannot tell them apart, yet the churn walk roams the area, so
+        // each needs its own compiled plan.
+        let small = Topology::random(&gmp_net::TopologyConfig::new(500.0, 60, 150.0), 77);
+        let large = Topology::from_positions(small.positions(), Aabb::square(2000.0), 150.0);
+        assert_eq!(small.fingerprint(), large.fingerprint());
+        let plan = FaultPlan::none().with_link_churn(1.0, 30.0, (20.0, 40.0), (0.0, 0.5), 5);
+        // The verdicts: every severed link mid-episode, and the oracle's
+        // classification of every other node as a failed destination.
+        let verdicts = |scratch: &mut FaultScratch, topo: &Topology| {
+            let mut alive = vec![true; topo.len()];
+            scratch.begin_task(&plan, topo, NodeId(0), &mut alive);
+            let severed: Vec<(NodeId, NodeId)> = (0..topo.len() as u32)
+                .flat_map(|u| {
+                    topo.neighbors(NodeId(u))
+                        .iter()
+                        .map(move |&v| (NodeId(u), v))
+                })
+                .filter(|&(u, v)| scratch.link_severed(u, v, 10.0))
+                .collect();
+            let mut pending = vec![true; topo.len()];
+            pending[0] = false;
+            (
+                severed,
+                classify(scratch, topo, true, &alive, &pending, false),
+            )
+        };
+        let mut shared = FaultScratch::new();
+        let on_small = verdicts(&mut shared, &small);
+        let on_large = verdicts(&mut shared, &large);
+        assert_eq!(on_small, verdicts(&mut FaultScratch::new(), &small));
+        assert_eq!(on_large, verdicts(&mut FaultScratch::new(), &large));
+        assert_ne!(on_small.0, on_large.0, "the area shapes the churn");
     }
 
     #[test]

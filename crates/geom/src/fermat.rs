@@ -20,7 +20,7 @@
 //!   [`fermat_point`] for the case analysis).
 
 use crate::point::Point;
-use crate::predicates::{angle_at, orientation, Orientation};
+use crate::predicates::{orientation, Orientation};
 use crate::EPS;
 
 /// Interior angle threshold above which the Fermat point collapses onto a
@@ -115,19 +115,19 @@ pub fn fermat_point(a: Point, b: Point, c: Point) -> FermatPoint {
     }
 
     // Obtuse-beyond-120° rule.
-    if angle_at(a, b, c) >= FERMAT_ANGLE - EPS {
+    if reaches_fermat_angle(a, b, c) {
         return FermatPoint {
             location: a,
             kind: FermatKind::AtVertex(0),
         };
     }
-    if angle_at(b, a, c) >= FERMAT_ANGLE - EPS {
+    if reaches_fermat_angle(b, a, c) {
         return FermatPoint {
             location: b,
             kind: FermatKind::AtVertex(1),
         };
     }
-    if angle_at(c, a, b) >= FERMAT_ANGLE - EPS {
+    if reaches_fermat_angle(c, a, b) {
         return FermatPoint {
             location: c,
             kind: FermatKind::AtVertex(2),
@@ -154,6 +154,25 @@ pub fn fermat_point(a: Point, b: Point, c: Point) -> FermatPoint {
             }
         }
     }
+}
+
+/// `angle_at(apex, p, q) >= FERMAT_ANGLE - EPS`, without the `acos` when
+/// the answer cannot be `true`.
+///
+/// A non-negative dot product of the two arms means the angle is at most
+/// 90°: [`Vec2::angle_between`](crate::point::Vec2::angle_between) then
+/// returns `0.0` or `acos` of a quotient `≥ ±0`, both far below the
+/// threshold. The dot is the same expression `angle_between` computes, so
+/// the early `false` reproduces the full test bit for bit (a NaN dot falls
+/// through to it). A triangle has at most one angle above 90°, so the
+/// three vertex tests normally pay for one `acos` at most.
+#[inline]
+fn reaches_fermat_angle(apex: Point, p: Point, q: Point) -> bool {
+    let (u, v) = (p - apex, q - apex);
+    if u.dot(v) >= 0.0 {
+        return false;
+    }
+    u.angle_between(v) >= FERMAT_ANGLE - EPS
 }
 
 /// Fermat points of a batch of triangles given in SoA form
@@ -249,6 +268,7 @@ pub fn weiszfeld(a: Point, b: Point, c: Point, iterations: usize) -> Point {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::predicates::angle_at;
 
     const SQ3: f64 = 1.732_050_807_568_877_2;
 
