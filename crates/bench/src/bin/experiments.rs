@@ -36,19 +36,14 @@
 //! `--protocols GMP,MCFR,…` filters the campaign panels (unknown tokens
 //! warn and are skipped; an empty selection falls back to the default).
 //!
-//! `bench` is different: it runs the fixed perf workload and writes
-//! `BENCH_1.json` (decisions/sec, tasks/sec, wall-clock, allocs/decision)
-//! under `--out` — the machine-readable perf trajectory described in
-//! EXPERIMENTS.md. Run it from a `--release` build.
-//!
-//! `scale` runs the million-node scale curve over the sharded lazy
-//! substrate and writes `BENCH_4.json` (per-task throughput, build time,
-//! and peak RSS at 1k/10k/100k/1M nodes; `--quick` stops at 10k).
-//!
-//! `service` runs the concurrent session engine (`gmp-service`) against
-//! back-to-back sequential runs of the identical session set and writes
-//! `BENCH_5.json` (sessions/s, decisions/s, p50/p99 session latency under
-//! churn; `--quick` runs the paper topology at 1k sessions).
+//! The timed perf records are separate commands, each writing JSON under
+//! `--out` through [`gmp_bench::record`] (every timed figure is a spread
+//! over five trials of at least one second; run them from a `--release`
+//! build): `bench` writes `BENCH_1.json` (decision throughput) and
+//! `BENCH_2.json` (task throughput), `scale` writes `BENCH_4.json` (the
+//! 1k → 1M-node scale curve; `--quick` stops at 10k), and `service`
+//! writes `BENCH_5.json` (the concurrent session engine; `--quick` runs
+//! the paper topology at 1k sessions). EXPERIMENTS.md indexes them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -56,14 +51,20 @@ use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
+use gmp_bench::campaign::CampaignRow;
 use gmp_bench::chart::LineChart;
 use gmp_bench::experiments::{
     density_sweep, destination_sweep, loss_sweep, mac_tax, mobility_ablation, overhead_ablation,
     pbm_sensitivity, planar_ablation, power_ablation, range_sweep, set_worker_threads,
-    tree_length_ablation, Scale, SweepRow,
+    tree_length_ablation, DensityRow, Scale, SweepRow,
 };
+use gmp_bench::obj;
 use gmp_bench::protocols::ProtocolKind;
+use gmp_bench::record::{measure, report_write, write_record, Json, Spread, MIN_TRIAL};
+use gmp_bench::scale::{decision_probe, scale_curve, ScalePoint};
+use gmp_bench::service::{paper_scaling_curve, sharded_service_point, ServicePoint};
 use gmp_bench::table::{render_table, write_csv};
+use gmp_core::CacheStats;
 use gmp_sim::SimConfig;
 
 /// Counts heap allocations so the `bench` command can report
@@ -131,6 +132,34 @@ fn pivot(
         table.push(line);
     }
     table
+}
+
+/// Prints `table` under `title` and writes it as the CSV `name` under
+/// `--out`.
+fn emit_table(args: &Args, title: &str, name: &str, table: &[Vec<String>]) {
+    println!("\n{title}\n{}", render_table(table));
+    let path = args.out.join(name);
+    report_write(&path, write_csv(&path, table));
+}
+
+/// [`emit_table`] for `rows` under `header`, one table line per row.
+fn emit_rows<R>(
+    args: &Args,
+    title: &str,
+    name: &str,
+    header: &[&str],
+    rows: &[R],
+    cells: impl Fn(&R) -> Vec<String>,
+) {
+    let mut table = vec![header.iter().map(|h| h.to_string()).collect()];
+    table.extend(rows.iter().map(cells));
+    emit_table(args, title, name, &table);
+}
+
+/// Writes `chart` as the SVG `name` under `--out`.
+fn write_svg(args: &Args, name: &str, chart: &LineChart) {
+    let path = args.out.join(name);
+    report_write(&path, std::fs::write(&path, chart.render_svg()));
 }
 
 struct Args {
@@ -224,41 +253,33 @@ fn run_sweep_figures(args: &Args, which: &[&str]) {
     let rows = destination_sweep(&config, &args.scale, &protocols);
     eprintln!("sweep finished in {:.1}s", start.elapsed().as_secs_f64());
 
-    type Metric = Box<dyn Fn(&SweepRow) -> f64>;
+    type Metric = fn(&SweepRow) -> f64;
     let figures: [(&str, &str, Metric); 4] = [
         (
             "fig11",
             "Figure 11 — total number of hops per task",
-            Box::new(|r: &SweepRow| r.total_hops),
+            |r| r.total_hops,
         ),
-        (
-            "fig12",
-            "Figure 12 — per-destination hop count",
-            Box::new(|r: &SweepRow| r.dest_hops),
-        ),
+        ("fig12", "Figure 12 — per-destination hop count", |r| {
+            r.dest_hops
+        }),
         (
             "fig14",
             "Figure 14 — total energy cost per task (J)",
-            Box::new(|r: &SweepRow| r.energy_j),
+            |r| r.energy_j,
         ),
         (
             "figlatency",
             "Extension — mean task completion time (ms)",
-            Box::new(|r: &SweepRow| r.latency_ms),
+            |r| r.latency_ms,
         ),
     ];
     for (name, title, metric) in figures {
         if !which.contains(&name) {
             continue;
         }
-        let table = pivot(&rows, &protocols, metric.as_ref());
-        println!("\n{title}\n{}", render_table(&table));
-        let path = args.out.join(format!("{name}.csv"));
-        if let Err(e) = write_csv(&path, &table) {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        } else {
-            eprintln!("wrote {}", path.display());
-        }
+        let table = pivot(&rows, &protocols, metric);
+        emit_table(args, title, &format!("{name}.csv"), &table);
         // Regenerate the figure itself.
         let mut chart = LineChart::new(
             title,
@@ -274,12 +295,22 @@ fn run_sweep_figures(args: &Args, which: &[&str]) {
                 .collect();
             chart.series(label, pts);
         }
-        let svg_path = args.out.join(format!("{name}.svg"));
-        match std::fs::write(&svg_path, chart.render_svg()) {
-            Ok(()) => eprintln!("wrote {}", svg_path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", svg_path.display()),
-        }
+        write_svg(args, &format!("{name}.svg"), &chart);
     }
+}
+
+/// The Figure 15 table columns: failed tasks per density point and
+/// protocol.
+const DENSITY_HEADER: [&str; 5] = ["nodes", "protocol", "failed", "tasks", "failed/1000"];
+
+fn density_cells(r: &DensityRow) -> Vec<String> {
+    vec![
+        r.nodes.to_string(),
+        r.protocol.clone(),
+        r.failed_tasks.to_string(),
+        r.total_tasks.to_string(),
+        format!("{:.1}", r.failed_per_1000),
+    ]
 }
 
 fn run_fig15(args: &Args) {
@@ -301,32 +332,14 @@ fn run_fig15(args: &Args) {
         "density sweep finished in {:.1}s",
         start.elapsed().as_secs_f64()
     );
-
-    let mut table = vec![vec![
-        "nodes".to_string(),
-        "protocol".to_string(),
-        "failed".to_string(),
-        "tasks".to_string(),
-        "failed/1000".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.nodes.to_string(),
-            r.protocol.clone(),
-            r.failed_tasks.to_string(),
-            r.total_tasks.to_string(),
-            format!("{:.1}", r.failed_per_1000),
-        ]);
-    }
-    println!(
-        "\nFigure 15 — failed tasks for different network densities\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Figure 15 — failed tasks for different network densities",
+        "fig15.csv",
+        &DENSITY_HEADER,
+        &rows,
+        density_cells,
     );
-    let path = args.out.join("fig15.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
     let mut chart = LineChart::new(
         "Figure 15 — failed tasks per 1000 vs density",
         "number of nodes",
@@ -341,136 +354,108 @@ fn run_fig15(args: &Args) {
             .collect();
         chart.series(label, pts);
     }
-    let svg_path = args.out.join("fig15.svg");
-    match std::fs::write(&svg_path, chart.render_svg()) {
-        Ok(()) => eprintln!("wrote {}", svg_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", svg_path.display()),
-    }
+    write_svg(args, "fig15.svg", &chart);
 }
 
 fn run_overhead(args: &Args) {
     let config = SimConfig::paper();
     eprintln!("running header-overhead ablation…");
     let rows = overhead_ablation(&config, &args.scale);
-    let mut table = vec![vec![
-        "k".to_string(),
-        "fixed B/task".to_string(),
-        "encoded B/task".to_string(),
-        "fixed J/task".to_string(),
-        "encoded J/task".to_string(),
-        "byte overhead".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.k.to_string(),
-            format!("{:.0}", r.fixed_bytes),
-            format!("{:.0}", r.encoded_bytes),
-            format!("{:.4}", r.fixed_energy_j),
-            format!("{:.4}", r.encoded_energy_j),
-            format!("{:.2}×", r.encoded_bytes / r.fixed_bytes),
-        ]);
-    }
-    println!(
-        "\nAblation — destination-list header overhead (GMP)\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Ablation — destination-list header overhead (GMP)",
+        "overhead.csv",
+        &[
+            "k",
+            "fixed B/task",
+            "encoded B/task",
+            "fixed J/task",
+            "encoded J/task",
+            "byte overhead",
+        ],
+        &rows,
+        |r| {
+            vec![
+                r.k.to_string(),
+                format!("{:.0}", r.fixed_bytes),
+                format!("{:.0}", r.encoded_bytes),
+                format!("{:.4}", r.fixed_energy_j),
+                format!("{:.4}", r.encoded_energy_j),
+                format!("{:.2}×", r.encoded_bytes / r.fixed_bytes),
+            ]
+        },
     );
-    let path = args.out.join("overhead.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_treelen(args: &Args) {
     eprintln!("running rrSTR vs MST tree-length ablation…");
     let rows = tree_length_ablation(&[3, 5, 10, 15, 20, 25], 200);
-    let mut table = vec![vec![
-        "n".to_string(),
-        "rrSTR len".to_string(),
-        "MST len".to_string(),
-        "ratio".to_string(),
-        "virtual junctions".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.n.to_string(),
-            format!("{:.0}", r.rrstr_len),
-            format!("{:.0}", r.mst_len),
-            format!("{:.4}", r.ratio),
-            format!("{:.2}", r.virtuals),
-        ]);
-    }
-    println!(
-        "\nAblation — rrSTR vs MST tree length (range-oblivious)\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Ablation — rrSTR vs MST tree length (range-oblivious)",
+        "treelen.csv",
+        &["n", "rrSTR len", "MST len", "ratio", "virtual junctions"],
+        &rows,
+        |r| {
+            vec![
+                r.n.to_string(),
+                format!("{:.0}", r.rrstr_len),
+                format!("{:.0}", r.mst_len),
+                format!("{:.4}", r.ratio),
+                format!("{:.2}", r.virtuals),
+            ]
+        },
     );
-    let path = args.out.join("treelen.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_planar(args: &Args) {
     let config = SimConfig::paper();
     eprintln!("running planar-subgraph ablation (GMP, k = 12)…");
     let rows = planar_ablation(&config, &args.scale, &[150, 200, 300, 500]);
-    let mut table = vec![vec![
-        "nodes".to_string(),
-        "planar".to_string(),
-        "failed".to_string(),
-        "tasks".to_string(),
-        "total hops".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.nodes.to_string(),
-            r.planar.clone(),
-            r.failed_tasks.to_string(),
-            r.total_tasks.to_string(),
-            format!("{:.2}", r.total_hops),
-        ]);
-    }
-    println!(
-        "\nAblation — perimeter routing on Gabriel vs RNG (GMP)\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Ablation — perimeter routing on Gabriel vs RNG (GMP)",
+        "planar.csv",
+        &["nodes", "planar", "failed", "tasks", "total hops"],
+        &rows,
+        |r| {
+            vec![
+                r.nodes.to_string(),
+                r.planar.clone(),
+                r.failed_tasks.to_string(),
+                r.total_tasks.to_string(),
+                format!("{:.2}", r.total_hops),
+            ]
+        },
     );
-    let path = args.out.join("planar.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_pbm_sensitivity(args: &Args) {
     let config = SimConfig::paper();
     eprintln!("running PBM search-bound sensitivity (λ = 0.3, k = 15)…");
     let rows = pbm_sensitivity(&config, &args.scale, 15);
-    let mut table = vec![vec![
-        "|W| cap".to_string(),
-        "cands/dest".to_string(),
-        "total hops".to_string(),
-        "per-dest hops".to_string(),
-        "routing secs".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.max_subset_size.to_string(),
-            r.candidates_per_dest.to_string(),
-            format!("{:.2}", r.total_hops),
-            format!("{:.2}", r.dest_hops),
-            format!("{:.2}", r.routing_seconds),
-        ]);
-    }
-    println!(
-        "\nAblation — PBM bounded-search sensitivity\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Ablation — PBM bounded-search sensitivity",
+        "pbm_sensitivity.csv",
+        &[
+            "|W| cap",
+            "cands/dest",
+            "total hops",
+            "per-dest hops",
+            "routing secs",
+        ],
+        &rows,
+        |r| {
+            vec![
+                r.max_subset_size.to_string(),
+                r.candidates_per_dest.to_string(),
+                format!("{:.2}", r.total_hops),
+                format!("{:.2}", r.dest_hops),
+                format!("{:.2}", r.routing_seconds),
+            ]
+        },
     );
-    let path = args.out.join("pbm_sensitivity.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_mobility(args: &Args) {
@@ -482,27 +467,20 @@ fn run_mobility(args: &Args) {
         30,
         9,
     );
-    let mut table = vec![vec![
-        "staleness (s)".to_string(),
-        "broken links".to_string(),
-        "stale GMP transmissions".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            format!("{:.0}", r.staleness_s),
-            format!("{:.1}%", r.broken_links * 100.0),
-            format!("{:.1}%", r.stale_tx_fraction * 100.0),
-        ]);
-    }
-    println!(
-        "\nAblation — random-waypoint mobility vs stale positions (500 nodes, 1–5 m/s)\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Ablation — random-waypoint mobility vs stale positions (500 nodes, 1–5 m/s)",
+        "mobility.csv",
+        &["staleness (s)", "broken links", "stale GMP transmissions"],
+        &rows,
+        |r| {
+            vec![
+                format!("{:.0}", r.staleness_s),
+                format!("{:.1}%", r.broken_links * 100.0),
+                format!("{:.1}%", r.stale_tx_fraction * 100.0),
+            ]
+        },
     );
-    let path = args.out.join("mobility.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_power(args: &Args) {
@@ -517,34 +495,25 @@ fn run_power(args: &Args) {
         ProtocolKind::Grd,
     ];
     let rows = power_ablation(&config, &scale, &protocols);
-    let mut table = vec![vec![
-        "k".to_string(),
-        "protocol".to_string(),
-        "fixed J/task".to_string(),
-        "α=2 J/task".to_string(),
-        "saving".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.k.to_string(),
-            r.protocol.clone(),
-            format!("{:.3}", r.fixed_energy_j),
-            format!("{:.3}", r.controlled_energy_j),
-            format!(
-                "{:.0}%",
-                (1.0 - r.controlled_energy_j / r.fixed_energy_j) * 100.0
-            ),
-        ]);
-    }
-    println!(
-        "\nAblation — fixed vs distance-scaled transmit power\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Ablation — fixed vs distance-scaled transmit power",
+        "power.csv",
+        &["k", "protocol", "fixed J/task", "α=2 J/task", "saving"],
+        &rows,
+        |r| {
+            vec![
+                r.k.to_string(),
+                r.protocol.clone(),
+                format!("{:.3}", r.fixed_energy_j),
+                format!("{:.3}", r.controlled_energy_j),
+                format!(
+                    "{:.0}%",
+                    (1.0 - r.controlled_energy_j / r.fixed_energy_j) * 100.0
+                ),
+            ]
+        },
     );
-    let path = args.out.join("power.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_range(args: &Args) {
@@ -553,31 +522,28 @@ fn run_range(args: &Args) {
     let protocols = [ProtocolKind::Gmp, ProtocolKind::Lgs, ProtocolKind::PbmBest];
     let ranges = [100.0, 125.0, 150.0, 175.0, 200.0];
     let rows = range_sweep(&config, &args.scale, &protocols, &ranges);
-    let mut table = vec![vec![
-        "range (m)".to_string(),
-        "protocol".to_string(),
-        "total hops".to_string(),
-        "energy (J)".to_string(),
-        "failed".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            format!("{:.0}", r.radio_range),
-            r.protocol.clone(),
-            format!("{:.2}", r.total_hops),
-            format!("{:.3}", r.energy_j),
-            r.failed_tasks.to_string(),
-        ]);
-    }
-    println!(
-        "\nExtension — radio-range sweep (1000 nodes, k = 12)\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Extension — radio-range sweep (1000 nodes, k = 12)",
+        "range.csv",
+        &[
+            "range (m)",
+            "protocol",
+            "total hops",
+            "energy (J)",
+            "failed",
+        ],
+        &rows,
+        |r| {
+            vec![
+                format!("{:.0}", r.radio_range),
+                r.protocol.clone(),
+                format!("{:.2}", r.total_hops),
+                format!("{:.3}", r.energy_j),
+                r.failed_tasks.to_string(),
+            ]
+        },
     );
-    let path = args.out.join("range.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_fig15mac(args: &Args) {
@@ -591,31 +557,14 @@ fn run_fig15mac(args: &Args) {
     let protocols = [ProtocolKind::Pbm(0.3), ProtocolKind::Lgs, ProtocolKind::Gmp];
     let node_counts = [400usize, 600, 800, 1000];
     let rows = density_sweep(&config, &args.scale, &protocols, &node_counts);
-    let mut table = vec![vec![
-        "nodes".to_string(),
-        "protocol".to_string(),
-        "failed".to_string(),
-        "tasks".to_string(),
-        "failed/1000".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.nodes.to_string(),
-            r.protocol.clone(),
-            r.failed_tasks.to_string(),
-            r.total_tasks.to_string(),
-            format!("{:.1}", r.failed_per_1000),
-        ]);
-    }
-    println!(
-        "\nFidelity ablation — Figure 15 with half-duplex/co-channel collisions\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Fidelity ablation — Figure 15 with half-duplex/co-channel collisions",
+        "fig15_mac.csv",
+        &DENSITY_HEADER,
+        &rows,
+        density_cells,
     );
-    let path = args.out.join("fig15_mac.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_mactax(args: &Args) {
@@ -629,31 +578,22 @@ fn run_mactax(args: &Args) {
         ProtocolKind::Grd,
     ];
     let rows = mac_tax(&config, &args.scale, &protocols, 15);
-    let mut table = vec![vec![
-        "protocol".to_string(),
-        "ideal tx".to_string(),
-        "MAC tx".to_string(),
-        "tax".to_string(),
-        "failed".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.protocol.clone(),
-            format!("{:.1}", r.ideal_tx),
-            format!("{:.1}", r.mac_tx),
-            format!("{:+.1}%", r.tax * 100.0),
-            r.failed_tasks.to_string(),
-        ]);
-    }
-    println!(
-        "\nFidelity ablation — MAC retransmission tax (collisions + ARQ)\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Fidelity ablation — MAC retransmission tax (collisions + ARQ)",
+        "mac_tax.csv",
+        &["protocol", "ideal tx", "MAC tx", "tax", "failed"],
+        &rows,
+        |r| {
+            vec![
+                r.protocol.clone(),
+                format!("{:.1}", r.ideal_tx),
+                format!("{:.1}", r.mac_tx),
+                format!("{:+.1}%", r.tax * 100.0),
+                r.failed_tasks.to_string(),
+            ]
+        },
     );
-    let path = args.out.join("mac_tax.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
 }
 
 fn run_loss(args: &Args) {
@@ -667,149 +607,95 @@ fn run_loss(args: &Args) {
         &[400, 600, 800, 1000],
         &[0.01, 0.03],
     );
-    let mut table = vec![vec![
-        "nodes".to_string(),
-        "loss".to_string(),
-        "protocol".to_string(),
-        "failed/1000".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            r.nodes.to_string(),
-            format!("{:.0}%", r.loss * 100.0),
-            r.protocol.clone(),
-            format!("{:.0}", r.failed_per_1000),
-        ]);
-    }
-    println!(
-        "\nFidelity ablation — Figure 15 over a lossy channel\n{}",
-        render_table(&table)
+    emit_rows(
+        args,
+        "Fidelity ablation — Figure 15 over a lossy channel",
+        "fig15_loss.csv",
+        &["nodes", "loss", "protocol", "failed/1000"],
+        &rows,
+        |r| {
+            vec![
+                r.nodes.to_string(),
+                format!("{:.0}%", r.loss * 100.0),
+                r.protocol.clone(),
+                format!("{:.0}", r.failed_per_1000),
+            ]
+        },
     );
-    let path = args.out.join("fig15_loss.csv");
-    match write_csv(&path, &table) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+}
+
+/// `k` per task of the `BENCH_1` decision probe, cycled over its tasks.
+const BENCH1_KS: [usize; 3] = [5, 15, 25];
+
+/// Workload fields every timed record shares: its traffic (`replay`,
+/// `fresh` or `repeat-groups`), its cache state (`warm`, `cold` or
+/// `off`), and the minimum length of each trial behind a [`Spread`].
+fn timed_workload(traffic: impl Into<Json>, cache: impl Into<Json>) -> Json {
+    obj! {
+        "traffic": traffic,
+        "cache": cache,
+        "min_trial_s": MIN_TRIAL.as_secs_f64(),
     }
 }
 
-/// The fixed perf workload behind `BENCH_1.json`: steady-state forwarding
-/// decisions through one warmed [`gmp_core::DecisionScratch`] fronted by
-/// a [`gmp_core::ConcurrentTreeCache`] (the decision path as the router
-/// actually runs it), full multicast tasks through the simulator, and the
-/// allocation counter sampled around the decision loop.
+/// The decision-throughput workload behind `BENCH_1.json`: the source
+/// decisions of 30 paper-topology tasks replayed through one warmed
+/// [`gmp_core::DecisionScratch`] and decision cache, with the allocation
+/// counter read around the timed trials (see [`decision_probe`]).
 fn run_bench(args: &Args) {
-    use gmp_core::{ConcurrentTreeCache, DecisionScratch};
     use gmp_net::Topology;
     use gmp_sim::MulticastTask;
 
-    let wall_start = Instant::now();
     let config = SimConfig::paper();
     let topo = Topology::random(&config.topology_config(), 1);
-    let ks = [5usize, 15, 25];
     let tasks: Vec<MulticastTask> = (0..30)
-        .map(|i| MulticastTask::random(&topo, ks[i % ks.len()], 100 + i as u64))
+        .map(|i| MulticastTask::random(&topo, BENCH1_KS[i % BENCH1_KS.len()], 100 + i as u64))
         .collect();
-
-    // Per-hop decision throughput at the source, through the decision
-    // cache exactly as GmpRouter runs it. Two warm-up passes grow the
-    // scratch to its high-water capacities and populate the cache; the
-    // measured passes then serve verified hits allocation-free (the
-    // `alloc_free` test asserts exactly this).
     eprintln!(
-        "bench: decision throughput over {} tasks, k ∈ {ks:?}…",
+        "bench: decision throughput over {} tasks, k ∈ {BENCH1_KS:?}…",
         tasks.len()
     );
-    let mut scratch = DecisionScratch::new();
-    let cache = ConcurrentTreeCache::new();
-    for _ in 0..2 {
-        for t in &tasks {
-            cache.group_destinations_cached(
-                &mut scratch,
-                &topo,
-                t.source,
-                &t.dests,
-                true,
-                None,
-                None,
-            );
-        }
-    }
-    let warm_stats = cache.stats();
-    let rounds = 300usize;
-    let allocs_before = ALLOCS.load(Ordering::SeqCst);
-    let t0 = Instant::now();
-    let mut covered = 0usize;
-    for _ in 0..rounds {
-        for t in &tasks {
-            let g = cache.group_destinations_cached(
-                &mut scratch,
-                &topo,
-                t.source,
-                &t.dests,
-                true,
-                None,
-                None,
-            );
-            covered += g.covered.len();
-        }
-    }
-    let decision_secs = t0.elapsed().as_secs_f64();
-    let allocs_after = ALLOCS.load(Ordering::SeqCst);
-    let decisions = rounds * tasks.len();
-    let decisions_per_sec = decisions as f64 / decision_secs;
-    let allocs_per_decision = ratio((allocs_after - allocs_before) as f64, decisions as f64);
-    assert!(covered > 0, "decision workload routed nothing");
-    // Steady-state cache behaviour over the measured window only.
-    let end_stats = cache.stats();
-    let cache_hits = end_stats.hits - warm_stats.hits;
-    let cache_misses = end_stats.misses - warm_stats.misses;
-    let cache_fallbacks = end_stats.fallbacks - warm_stats.fallbacks;
-    let cache_entries_live = end_stats.entries_live;
-    let cache_hit_rate = ratio(cache_hits as f64, decisions as f64);
-
-    // End-to-end task throughput: the whole simulator loop (routing at
-    // every hop, delivery bookkeeping, energy accounting).
-    eprintln!("bench: end-to-end task throughput…");
-    let task_rounds = 10usize;
-    let t0 = Instant::now();
-    let mut delivered = 0usize;
-    for _ in 0..task_rounds {
-        for t in &tasks {
-            let report = ProtocolKind::Gmp.run_task(&topo, &config, t);
-            delivered += usize::from(report.delivered_all());
-        }
-    }
-    let task_secs = t0.elapsed().as_secs_f64();
-    let task_count = task_rounds * tasks.len();
-    let tasks_per_sec = task_count as f64 / task_secs;
-    assert!(delivered > 0, "task workload delivered nothing");
-
-    let wall_clock_s = wall_start.elapsed().as_secs_f64();
-    let peak_rss_fields = gmp_bench::rss::peak_rss_json_fields();
-    let json = format!(
-        "{{\n  \"schema\": \"gmp-bench/1\",\n  \"workload\": {{\n    \"nodes\": {},\n    \"topology_seed\": 1,\n    \"k_values\": [5, 15, 25],\n    \"decision_samples\": {decisions},\n    \"task_samples\": {task_count}\n  }},\n  \"decisions_per_sec\": {decisions_per_sec:.1},\n  \"tasks_per_sec\": {tasks_per_sec:.1},\n  \"wall_clock_s\": {wall_clock_s:.3},\n  \"allocs_per_decision\": {allocs_per_decision:.4},\n  {peak_rss_fields},\n  \"decision_cache\": {{\n    \"hits\": {cache_hits},\n    \"misses\": {cache_misses},\n    \"fallbacks\": {cache_fallbacks},\n    \"entries_live\": {cache_entries_live},\n    \"hit_rate\": {cache_hit_rate:.4}\n  }}\n}}\n",
+    let alloc_counter = || ALLOCS.load(Ordering::SeqCst);
+    let (decisions_per_sec, allocs_per_decision, cache) =
+        decision_probe(&topo, &tasks, Some(&alloc_counter));
+    let record = bench1_record(
         config.node_count,
+        tasks.len(),
+        decisions_per_sec,
+        allocs_per_decision,
+        cache,
     );
-    print!("{json}");
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join("BENCH_1.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
-
+    write_record(&args.out, "BENCH_1.json", record);
     run_bench2(args);
+}
+
+fn bench1_record(
+    nodes: usize,
+    tasks: usize,
+    decisions_per_sec: Spread,
+    allocs_per_decision: Option<f64>,
+    cache: CacheStats,
+) -> Json {
+    let mut workload = timed_workload("replay", "warm");
+    workload.push("nodes", nodes);
+    workload.push("topology_seed", 1usize);
+    workload.push("k_values", BENCH1_KS.into_iter().collect::<Json>());
+    workload.push("tasks", tasks);
+    obj! {
+        "schema": "gmp-bench/1.1",
+        "workload": workload,
+        "decisions_per_sec": decisions_per_sec,
+        "allocs_per_decision": allocs_per_decision,
+        "decision_cache": cache,
+    }
 }
 
 /// The event-loop workload behind `BENCH_2.json`: whole-task simulation
 /// throughput at the paper scale (1000 nodes, k = 25) through one warmed
-/// [`gmp_sim::SimScratch`], with the collision model off and on (jittered
-/// carrier sense, 7 retransmissions). The recorded `seed_baseline` numbers
-/// were measured on the identical workload at the pre-overhaul commit;
-/// `speedup_*` relates the two. The criterion bench `sim_throughput`
-/// tracks the same workload interactively.
+/// [`gmp_sim::SimScratch`] and router, replaying 64 tasks, with the
+/// collision model off and on (jittered carrier sense, 7 retransmissions).
+/// The criterion bench `sim_throughput` tracks the same workload
+/// interactively.
 fn run_bench2(args: &Args) {
     use gmp_core::GmpRouter;
     use gmp_net::Topology;
@@ -817,84 +703,62 @@ fn run_bench2(args: &Args) {
 
     let base = SimConfig::paper();
     let topo = Topology::random(&base.topology_config(), 1);
-    let task_count = 64usize;
-    let tasks: Vec<MulticastTask> = (0..task_count)
+    let tasks: Vec<MulticastTask> = (0..64)
         .map(|i| MulticastTask::random(&topo, 25, 100 + i as u64))
         .collect();
-    // Throughput numbers measured on the identical workload (same topology
-    // seed, same tasks, warmed scratch) at the commit preceding the event-
-    // loop overhaul, on the reference container.
-    let seed_baseline_off = 6010.0f64;
-    let seed_baseline_on = 5740.0f64;
-    let window_s = 2.0f64;
-
-    let mut measured = [0.0f64; 2];
-    let mut cache_stats = [gmp_core::CacheStats::default(); 2];
-    for (slot, (label, config)) in [
+    let collisions = base
+        .clone()
+        .with_collisions(true)
+        .with_tx_jitter(0.005)
+        .with_retransmissions(7);
+    let [off, on] = [
         ("collisions_off", base.clone()),
-        (
-            "collisions_on",
-            base.clone()
-                .with_collisions(true)
-                .with_tx_jitter(0.005)
-                .with_retransmissions(7),
-        ),
+        ("collisions_on", collisions),
     ]
-    .into_iter()
-    .enumerate()
-    {
+    .map(|(label, config)| {
         eprintln!("bench: task throughput, {label} (n=1000, k=25)…");
         let runner = TaskRunner::new(&topo, &config);
         let mut router = GmpRouter::new();
         let mut scratch = SimScratch::new();
-        for t in &tasks {
-            let r = runner.run_with_scratch(&mut router, t, 0, &mut scratch);
-            assert!(!r.truncated, "bench workload truncated");
-        }
-        // Best of three windows: throughput benchmarks on shared machines
-        // are one-sided — interference only ever slows a run down, so the
-        // fastest window is the closest estimate of the code's own cost.
-        let mut best = 0.0f64;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let mut ran = 0usize;
-            while t0.elapsed().as_secs_f64() < window_s {
-                for t in &tasks {
-                    let _ = runner.run_with_scratch(&mut router, t, 0, &mut scratch);
-                }
-                ran += tasks.len();
+        let mut pass = || {
+            for t in &tasks {
+                let r = runner.run_with_scratch(&mut router, t, 0, &mut scratch);
+                assert!(!r.truncated, "bench workload truncated");
             }
-            best = best.max(ran as f64 / t0.elapsed().as_secs_f64());
-        }
-        measured[slot] = best;
-        cache_stats[slot] = router.cache_stats();
-    }
-    let [off, on] = measured;
-    let cache_json = |s: gmp_core::CacheStats| {
-        format!(
-            "{{ \"hits\": {}, \"misses\": {}, \"fallbacks\": {}, \"entries_live\": {}, \"hit_rate\": {:.4} }}",
-            s.hits,
-            s.misses,
-            s.fallbacks,
-            s.entries_live,
-            s.hit_rate()
-        )
-    };
-
-    let peak_rss_fields = gmp_bench::rss::peak_rss_json_fields();
-    let json = format!(
-        "{{\n  \"schema\": \"gmp-bench/2\",\n  \"workload\": {{\n    \"nodes\": {},\n    \"topology_seed\": 1,\n    \"k\": 25,\n    \"tasks\": {task_count},\n    \"collision_config\": {{ \"tx_jitter_s\": 0.005, \"max_retransmissions\": 7 }},\n    \"window_s\": {window_s:.1}\n  }},\n  \"collisions_off_tasks_per_sec\": {off:.1},\n  \"collisions_on_tasks_per_sec\": {on:.1},\n  \"seed_baseline\": {{\n    \"collisions_off_tasks_per_sec\": {seed_baseline_off:.1},\n    \"collisions_on_tasks_per_sec\": {seed_baseline_on:.1}\n  }},\n  \"speedup_collisions_off\": {:.3},\n  \"speedup_collisions_on\": {:.3},\n  {peak_rss_fields},\n  \"decision_cache\": {{\n    \"collisions_off\": {},\n    \"collisions_on\": {}\n  }}\n}}\n",
-        base.node_count,
-        off / seed_baseline_off,
-        on / seed_baseline_on,
-        cache_json(cache_stats[0]),
-        cache_json(cache_stats[1]),
+            tasks.len()
+        };
+        pass();
+        let per_sec = measure(pass);
+        (per_sec, router.cache_stats())
+    });
+    write_record(
+        &args.out,
+        "BENCH_2.json",
+        bench2_record(base.node_count, tasks.len(), off, on),
     );
-    print!("{json}");
-    let path = args.out.join("BENCH_2.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+}
+
+fn bench2_record(
+    nodes: usize,
+    tasks: usize,
+    off: (Spread, CacheStats),
+    on: (Spread, CacheStats),
+) -> Json {
+    let mut workload = timed_workload("replay", "warm");
+    workload.push("nodes", nodes);
+    workload.push("topology_seed", 1usize);
+    workload.push("k", 25usize);
+    workload.push("tasks", tasks);
+    workload.push(
+        "collision_config",
+        obj! { "tx_jitter_s": 0.005, "max_retransmissions": 7usize },
+    );
+    obj! {
+        "schema": "gmp-bench/2.1",
+        "workload": workload,
+        "collisions_off_tasks_per_sec": off.0,
+        "collisions_on_tasks_per_sec": on.0,
+        "decision_cache": obj! { "collisions_off": off.1, "collisions_on": on.1 },
     }
 }
 
@@ -903,9 +767,6 @@ fn run_bench2(args: &Args) {
 /// density. `--quick` runs the 1k/10k prefix (the CI smoke gate). See
 /// EXPERIMENTS.md for the trajectory table and DESIGN.md for the substrate.
 fn run_scale(args: &Args) {
-    use gmp_bench::rss::json_opt_u64;
-    use gmp_bench::scale::{scale_curve, EAGER_CUTOFF, MARGIN, RADIO_RANGE, WINDOW_SIDE};
-
     let quick = args.scale == Scale::quick();
     let node_counts: Vec<usize> = if quick {
         vec![1_000, 10_000]
@@ -931,92 +792,33 @@ fn run_scale(args: &Args) {
         start.elapsed().as_secs_f64()
     );
 
-    let mut table = vec![vec![
-        "nodes".to_string(),
-        "area side".to_string(),
-        "substrate (s)".to_string(),
-        "eager (s)".to_string(),
-        "mat. nodes".to_string(),
-        "tasks/s/core".to_string(),
-        "decisions/s".to_string(),
-        "allocs/dec".to_string(),
-        "peak RSS".to_string(),
-    ]];
-    for p in &points {
-        table.push(vec![
-            p.nodes.to_string(),
-            format!("{:.0} m", p.area_side),
-            format!("{:.4}", p.substrate_build_s),
-            p.eager_build_s
-                .map(|s| format!("{s:.3}"))
-                .unwrap_or_else(|| "-".into()),
-            p.materialized_nodes.to_string(),
-            format!("{:.1}", p.tasks_per_sec),
-            format!("{:.0}", p.decisions_per_sec),
-            p.allocs_per_decision
-                .map(|a| format!("{a:.4}"))
-                .unwrap_or_else(|| "-".into()),
-            p.peak_rss_bytes
-                .map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
-                .unwrap_or_else(|| "-".into()),
-        ]);
-    }
-    println!(
-        "\nScale curve — per-task cost vs network size (paper density)\n{}",
-        render_table(&table)
+    write_record(
+        &args.out,
+        "BENCH_4.json",
+        scale_record(&points, windows, tasks_per_window, k),
     );
+}
 
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"gmp-bench/4\",\n  \"workload\": {\n");
-    json.push_str(&format!("    \"window_side_m\": {WINDOW_SIDE},\n"));
-    json.push_str(&format!("    \"margin_m\": {MARGIN},\n"));
-    json.push_str(&format!("    \"radio_range_m\": {RADIO_RANGE},\n"));
-    json.push_str("    \"density_per_m2\": 0.001,\n");
-    json.push_str(&format!("    \"windows\": {windows},\n"));
-    json.push_str(&format!("    \"tasks_per_window\": {tasks_per_window},\n"));
-    json.push_str(&format!("    \"k\": {k},\n"));
-    json.push_str(&format!("    \"eager_cutoff_nodes\": {EAGER_CUTOFF}\n"));
-    json.push_str("  },\n  \"note\": \"throughput figures are per worker-core; peak_rss_bytes is the process high-water mark, cumulative across points\",\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"nodes\": {}, \"area_side_m\": {}, \"tile_count\": {}, \
-             \"substrate_build_s\": {}, \"eager_build_s\": {}, \"region_build_s\": {}, \
-             \"materialized_tiles\": {}, \"materialized_nodes\": {}, \"substrate_heap_bytes\": {}, \
-             \"windows\": {}, \"tasks\": {}, \"failed_tasks\": {}, \"tasks_per_sec\": {}, \
-             \"decisions_per_sec\": {}, \"allocs_per_decision\": {}, \"wall_clock_s\": {}, \
-             \"peak_rss_bytes\": {} }}{}\n",
-            p.nodes,
-            json_f64(p.area_side),
-            p.tile_count,
-            json_f64(p.substrate_build_s),
-            p.eager_build_s.map_or_else(|| "null".into(), json_f64),
-            json_f64(p.region_build_s),
-            p.materialized_tiles,
-            p.materialized_nodes,
-            p.substrate_heap_bytes,
-            p.windows,
-            p.tasks,
-            p.failed_tasks,
-            json_f64(p.tasks_per_sec),
-            json_f64(p.decisions_per_sec),
-            p.allocs_per_decision
-                .map_or_else(|| "null".into(), json_f64),
-            json_f64(p.wall_clock_s),
-            json_opt_u64(p.peak_rss_bytes),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  {}\n}}\n",
-        gmp_bench::rss::peak_rss_json_fields()
-    ));
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join("BENCH_4.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+fn scale_record(points: &[ScalePoint], windows: usize, tasks_per_window: usize, k: usize) -> Json {
+    use gmp_bench::scale::{EAGER_CUTOFF, MARGIN, RADIO_RANGE, WINDOW_SIDE};
+
+    let mut workload = timed_workload(
+        obj! { "tasks_per_sec": "fresh", "decisions_per_sec": "replay" },
+        obj! { "tasks_per_sec": "cold", "decisions_per_sec": "warm" },
+    );
+    workload.push("window_side_m", WINDOW_SIDE);
+    workload.push("margin_m", MARGIN);
+    workload.push("radio_range_m", RADIO_RANGE);
+    workload.push("density_per_m2", 0.001);
+    workload.push("windows", windows);
+    workload.push("tasks_per_window", tasks_per_window);
+    workload.push("k", k);
+    workload.push("eager_cutoff_nodes", EAGER_CUTOFF);
+    obj! {
+        "schema": "gmp-bench/4.1",
+        "workload": workload,
+        "note": "every figure is timed on one core; peak_rss_bytes is the process high-water mark, cumulative across points",
+        "points": points.iter().collect::<Json>(),
     }
 }
 
@@ -1024,20 +826,20 @@ fn run_scale(args: &Args) {
 /// multicast session throughput under churn through the `gmp-service`
 /// engine, against back-to-back sequential runs of the identical session
 /// set (the ≥2x headline gate), plus the multi-worker core-scaling curve
-/// (1/2/4/8 workers over one shared [`gmp_core::ConcurrentTreeCache`]).
-/// `--quick` runs the paper topology at 1k sessions (the CI smoke gate);
-/// the full run adds 10k sessions and the sharded 100k-node substrate.
-/// `--threads`/`GMP_BENCH_THREADS` collapses the worker axis to one
-/// count. Run it from a `--release` build.
+/// (1/2/4/8 workers, capped at the host's core count, over one shared
+/// [`gmp_core::ConcurrentTreeCache`]). `--quick` runs the paper topology
+/// at 1k sessions (the CI smoke gate); the full run adds 10k sessions and
+/// the sharded 100k-node substrate. `--threads`/`GMP_BENCH_THREADS`
+/// collapses the worker axis to one count. Run it from a `--release`
+/// build.
 fn run_service(args: &Args) {
-    use gmp_bench::service::{paper_scaling_curve, sharded_service_point, ServicePoint};
-
     let quick = args.scale == Scale::quick();
     let alloc_counter = || ALLOCS.load(Ordering::Relaxed);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let axis: Vec<usize> = if args.threads > 0 {
         vec![args.threads]
     } else {
-        vec![1, 2, 4, 8]
+        [1, 2, 4, 8].into_iter().filter(|&t| t <= cores).collect()
     };
     let start = Instant::now();
     let mut points: Vec<ServicePoint> = Vec::new();
@@ -1046,138 +848,36 @@ fn run_service(args: &Args) {
     if !quick {
         eprintln!("service: paper topology, 10000 sessions, workers ∈ {axis:?}…");
         points.extend(paper_scaling_curve(10_000, 43, Some(&alloc_counter), &axis));
-        eprintln!("service: sharded 100k substrate, 1000 sessions over 4 windows…");
-        points.push(sharded_service_point(100_000, 4, 1_000, 44, 4));
-        eprintln!("service: sharded 100k substrate, 10000 sessions over 8 windows…");
-        points.push(sharded_service_point(100_000, 8, 10_000, 45, 8));
+        for (windows, sessions, seed, workers) in [(4, 1_000, 44, 4), (8, 10_000, 45, 8)] {
+            let workers = workers.min(cores);
+            eprintln!(
+                "service: sharded 100k substrate, {sessions} sessions over {windows} windows, {workers} workers…"
+            );
+            points.push(sharded_service_point(
+                100_000, windows, sessions, seed, workers,
+            ));
+        }
     }
     eprintln!(
         "service bench finished in {:.1}s",
         start.elapsed().as_secs_f64()
     );
 
-    let mut table = vec![vec![
-        "topology".to_string(),
-        "sessions".to_string(),
-        "workers".to_string(),
-        "seq/s".to_string(),
-        "conc/s".to_string(),
-        "speedup".to_string(),
-        "par/s".to_string(),
-        "scaling".to_string(),
-        "par p50 ms".to_string(),
-        "par p99 ms".to_string(),
-        "hit rate".to_string(),
-        "match".to_string(),
-    ]];
-    for p in &points {
-        table.push(vec![
-            p.topology.clone(),
-            p.sessions.to_string(),
-            p.threads.to_string(),
-            format!("{:.0}", p.sequential_sessions_per_sec),
-            format!("{:.0}", p.concurrent_sessions_per_sec),
-            format!("{:.2}x", p.speedup),
-            format!("{:.0}", p.parallel_sessions_per_sec),
-            format!("{:.2}x", p.parallel_scaling),
-            format!("{:.3}", p.parallel_p50_latency_ms),
-            format!("{:.3}", p.parallel_p99_latency_ms),
-            format!("{:.3}", p.cache.hit_rate()),
-            p.reports_match.to_string(),
-        ]);
-    }
-    println!(
-        "\nConcurrent session service — throughput under churn vs sequential baseline\n{}",
-        render_table(&table)
-    );
-
-    let mut json = String::new();
-    json.push_str("{\n  \"schema\": \"gmp-bench/5\",\n");
-    json.push_str(
-        "  \"note\": \"sequential baseline = back-to-back self-contained runs of the identical \
-         session set (fresh protocol + scratch per session); latency is wall-clock admission to \
-         completion of the as-fast-as-possible engine loop; the worker axis shards one engine \
-         over a shared concurrent decision cache; reports_match certifies every concurrent and \
-         parallel session report bit-identical to its sequential twin at every worker count\",\n",
-    );
-    json.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{ \"topology\": \"{}\", \"nodes\": {}, \"sessions\": {}, \"groups\": {}, \
-             \"membership_updates\": {}, \"fault_crashes\": {}, \"skipped_empty\": {}, \
-             \"sequential_wall_s\": {}, \"sequential_sessions_per_sec\": {}, \
-             \"concurrent_wall_s\": {}, \"concurrent_sessions_per_sec\": {}, \
-             \"decisions_per_sec\": {}, \"p50_latency_ms\": {}, \"p99_latency_ms\": {}, \
-             \"threads\": {}, \"parallel_wall_s\": {}, \"parallel_sessions_per_sec\": {}, \
-             \"parallel_p50_latency_ms\": {}, \"parallel_p99_latency_ms\": {}, \
-             \"speedup\": {}, \"parallel_scaling\": {}, \"allocs_per_session\": {}, \
-             \"steady_alloc_drift\": {}, \
-             \"reports_match\": {}, \"decision_cache\": {{ \"hits\": {}, \"misses\": {}, \
-             \"fallbacks\": {}, \"entries_live\": {}, \"hit_rate\": {:.4} }} }}{}\n",
-            p.topology,
-            p.nodes,
-            p.sessions,
-            p.groups,
-            p.membership_updates,
-            p.fault_crashes,
-            p.skipped_empty,
-            json_f64(p.sequential_wall_s),
-            json_f64(p.sequential_sessions_per_sec),
-            json_f64(p.concurrent_wall_s),
-            json_f64(p.concurrent_sessions_per_sec),
-            json_f64(p.decisions_per_sec),
-            json_f64(p.p50_latency_ms),
-            json_f64(p.p99_latency_ms),
-            p.threads,
-            json_f64(p.parallel_wall_s),
-            json_f64(p.parallel_sessions_per_sec),
-            json_f64(p.parallel_p50_latency_ms),
-            json_f64(p.parallel_p99_latency_ms),
-            json_f64(p.speedup),
-            json_f64(p.parallel_scaling),
-            p.allocs_per_session.map_or_else(|| "null".into(), json_f64),
-            p.steady_alloc_drift
-                .map_or_else(|| "null".to_string(), |d| d.to_string()),
-            p.reports_match,
-            p.cache.hits,
-            p.cache.misses,
-            p.cache.fallbacks,
-            p.cache.entries_live,
-            p.cache.hit_rate(),
-            if i + 1 < points.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  {}\n}}\n",
-        gmp_bench::rss::peak_rss_json_fields()
-    ));
-    print!("{json}");
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join("BENCH_5.json");
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    write_record(&args.out, "BENCH_5.json", service_record(&points, cores));
 }
 
-/// A ratio that is 0.0 (not NaN) when the denominator is zero, so
-/// zero-sample runs emit gateable numbers instead of `null`.
-fn ratio(num: f64, den: f64) -> f64 {
-    if den == 0.0 {
-        0.0
-    } else {
-        num / den
-    }
-}
-
-/// Formats an f64 for JSON: non-finite values become `null`.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".into()
+fn service_record(points: &[ServicePoint], cores: usize) -> Json {
+    let mut workload = timed_workload("repeat-groups", "cold");
+    workload.push("available_parallelism", cores);
+    obj! {
+        "schema": "gmp-bench/5.1",
+        "workload": workload,
+        "note": "sequential baseline = self-contained runs of the same sessions (fresh protocol + \
+                 scratch each); every engine run starts from a cold decision cache; latency is \
+                 admission to completion; speedup and parallel_scaling are ratios of legs timed in the \
+                 same trial (concurrent / sequential, threads / 1 worker); reports_match certifies \
+                 every engine report bit-identical to its sequential twin",
+        "points": points.iter().collect::<Json>(),
     }
 }
 
@@ -1189,25 +889,20 @@ struct CampaignSpec {
     json_name: &'static str,
 }
 
-/// Runs a fault-injection campaign over `protocols` × `intensities` and
-/// emits the table, the CSV, and the schema'd JSON under `--out`. Shared
-/// by `campaign` (`BENCH_3.json`) and `guarantees` (`BENCH_6.json`).
-fn emit_campaign(
-    args: &Args,
-    config: &SimConfig,
-    protocols: &[ProtocolKind],
-    intensities: &[f64],
-    k: usize,
-    spec: &CampaignSpec,
-) {
-    let &CampaignSpec {
-        title,
-        schema,
-        csv_name,
-        json_name,
-    } = spec;
+/// Crash intensities (fraction of nodes crashed at t = 0) of both
+/// campaigns.
+const CAMPAIGN_INTENSITIES: [f64; 4] = [0.0, 0.05, 0.10, 0.20];
+/// Destinations per campaign task.
+const CAMPAIGN_K: usize = 10;
+
+/// Runs a fault-injection campaign over `protocols` ×
+/// [`CAMPAIGN_INTENSITIES`] and emits the table, the CSV, and the
+/// schema'd JSON under `--out`. Shared by `campaign` (`BENCH_3.json`) and
+/// `guarantees` (`BENCH_6.json`).
+fn emit_campaign(args: &Args, config: &SimConfig, protocols: &[ProtocolKind], spec: &CampaignSpec) {
     use gmp_bench::campaign::robustness_campaign;
-    use gmp_sim::FailureCause;
+
+    let (intensities, k) = (&CAMPAIGN_INTENSITIES, CAMPAIGN_K);
 
     eprintln!(
         "running {}: intensity ∈ {intensities:?}, k = {k}, {} networks × {} tasks, {} protocols…",
@@ -1224,116 +919,69 @@ fn emit_campaign(
         start.elapsed().as_secs_f64()
     );
 
-    let mut table = vec![vec![
-        "intensity".to_string(),
-        "protocol".to_string(),
-        "delivery".to_string(),
-        "justified".to_string(),
-        "unjustified".to_string(),
-        "unjust rate".to_string(),
-        "dest hops".to_string(),
-        "stretch".to_string(),
-        "txs".to_string(),
-        "hop overhead".to_string(),
-    ]];
-    for r in &rows {
-        table.push(vec![
-            format!("{:.2}", r.intensity),
-            r.protocol.clone(),
-            format!("{:.4}", r.delivery_ratio),
-            r.justified_failures.to_string(),
-            r.unjustified_failures.to_string(),
-            format!("{:.4}", r.unjustified_rate),
-            format!("{:.2}", r.mean_dest_hops),
-            if r.mean_path_stretch.is_finite() {
-                format!("{:.3}", r.mean_path_stretch)
-            } else {
-                "-".into()
-            },
-            format!("{:.1}", r.total_hops),
-            if r.hop_overhead.is_finite() {
-                format!("{:+.1}%", r.hop_overhead * 100.0)
-            } else {
-                "-".into()
-            },
-        ]);
-    }
-    println!("\n{title}\n{}", render_table(&table));
-    let csv_path = args.out.join(csv_name);
-    match write_csv(&csv_path, &table) {
-        Ok(()) => eprintln!("wrote {}", csv_path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", csv_path.display()),
-    }
+    emit_rows(
+        args,
+        spec.title,
+        spec.csv_name,
+        &[
+            "intensity",
+            "protocol",
+            "delivery",
+            "justified",
+            "unjustified",
+            "unjust rate",
+            "dest hops",
+            "stretch",
+            "txs",
+            "hop overhead",
+        ],
+        &rows,
+        |r| {
+            vec![
+                format!("{:.2}", r.intensity),
+                r.protocol.clone(),
+                format!("{:.4}", r.delivery_ratio),
+                r.justified_failures.to_string(),
+                r.unjustified_failures.to_string(),
+                format!("{:.4}", r.unjustified_rate),
+                format!("{:.2}", r.mean_dest_hops),
+                if r.mean_path_stretch.is_finite() {
+                    format!("{:.3}", r.mean_path_stretch)
+                } else {
+                    "-".into()
+                },
+                format!("{:.1}", r.total_hops),
+                if r.hop_overhead.is_finite() {
+                    format!("{:+.1}%", r.hop_overhead * 100.0)
+                } else {
+                    "-".into()
+                },
+            ]
+        },
+    );
+    let record = campaign_record(spec.schema, config, &args.scale, protocols, &rows);
+    write_record(&args.out, spec.json_name, record);
+}
 
-    let mut json = String::new();
-    json.push_str(&format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"workload\": {{\n"
-    ));
-    json.push_str(&format!("    \"nodes\": {},\n", config.node_count));
-    json.push_str(&format!("    \"k\": {k},\n"));
-    json.push_str(&format!("    \"networks\": {},\n", args.scale.networks));
-    json.push_str(&format!(
-        "    \"tasks_per_network\": {},\n",
-        args.scale.tasks_per_network
-    ));
-    json.push_str(&format!(
-        "    \"max_path_hops\": {},\n",
-        config.max_path_hops
-    ));
-    json.push_str(&format!(
-        "    \"intensities\": [{}],\n",
-        intensities
-            .iter()
-            .map(|i| format!("{i}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    json.push_str(&format!(
-        "    \"protocols\": [{}]\n  }},\n  \"rows\": [\n",
-        protocols
-            .iter()
-            .map(|p| format!("\"{}\"", p.label()))
-            .collect::<Vec<_>>()
-            .join(", ")
-    ));
-    for (i, r) in rows.iter().enumerate() {
-        let causes = FailureCause::ALL
-            .iter()
-            .map(|c| format!("\"{}\": {}", c.as_str(), r.cause_counts[c.index()]))
-            .collect::<Vec<_>>()
-            .join(", ");
-        json.push_str(&format!(
-            "    {{ \"intensity\": {}, \"protocol\": \"{}\", \"delivered\": {}, \"total_dests\": {}, \
-             \"delivery_ratio\": {}, \"justified_failures\": {}, \"unjustified_failures\": {}, \
-             \"unjustified_rate\": {}, \"mean_dest_hops\": {}, \"mean_path_stretch\": {}, \
-             \"total_hops\": {}, \"hop_overhead\": {}, \"causes\": {{ {} }} }}{}\n",
-            r.intensity,
-            r.protocol,
-            r.delivered,
-            r.total_dests,
-            json_f64(r.delivery_ratio),
-            r.justified_failures,
-            r.unjustified_failures,
-            json_f64(r.unjustified_rate),
-            json_f64(r.mean_dest_hops),
-            json_f64(r.mean_path_stretch),
-            json_f64(r.total_hops),
-            json_f64(r.hop_overhead),
-            causes,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    json.push_str(&format!(
-        "  ],\n  {}\n}}\n",
-        gmp_bench::rss::peak_rss_json_fields()
-    ));
-    if let Err(e) = std::fs::create_dir_all(&args.out) {
-        eprintln!("warning: could not create {}: {e}", args.out.display());
-    }
-    let path = args.out.join(json_name);
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+fn campaign_record(
+    schema: &str,
+    config: &SimConfig,
+    scale: &Scale,
+    protocols: &[ProtocolKind],
+    rows: &[CampaignRow],
+) -> Json {
+    obj! {
+        "schema": schema,
+        "workload": obj! {
+            "nodes": config.node_count,
+            "k": CAMPAIGN_K,
+            "networks": scale.networks,
+            "tasks_per_network": scale.tasks_per_network,
+            "max_path_hops": config.max_path_hops as usize,
+            "intensities": CAMPAIGN_INTENSITIES.into_iter().collect::<Json>(),
+            "protocols": protocols.iter().map(|p| p.label()).collect::<Json>(),
+        },
+        "rows": rows.iter().collect::<Json>(),
     }
 }
 
@@ -1355,8 +1003,6 @@ fn run_campaign(args: &Args) {
         args,
         &config,
         &protocols,
-        &[0.0, 0.05, 0.10, 0.20],
-        10,
         &CampaignSpec {
             title: "Robustness campaign — delivery under node crashes, oracle-judged",
             schema: "gmp-bench/3",
@@ -1389,8 +1035,6 @@ fn run_guarantees(args: &Args) {
         args,
         &config,
         &protocols,
-        &[0.0, 0.05, 0.10, 0.20],
-        10,
         &CampaignSpec {
             title: "Guarantees frontier — guaranteed delivery vs overhead, oracle-judged",
             schema: "gmp-bench/6",
@@ -1462,4 +1106,322 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gmp_bench::record::TRIALS;
+    use gmp_sim::FailureCause;
+
+    fn spread() -> Spread {
+        Spread::of(&mut [3.0, 1.0, 2.0, 5.0, 4.0])
+    }
+
+    fn keys(v: &Json) -> Vec<&str> {
+        match v {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    fn field<'a>(v: &'a Json, key: &str) -> &'a Json {
+        match v {
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+        .unwrap_or_else(|| panic!("missing {key:?} in {v}"))
+    }
+
+    /// Every timed field is a `Spread` of at least `TRIALS` trials whose
+    /// median lies between its min and max.
+    fn assert_spreads(v: &Json, timed: &[&str]) {
+        for &key in timed {
+            let s = field(v, key);
+            assert_eq!(keys(s), ["trials", "median", "min", "max"], "{key}: {s}");
+            let num = |k| match field(s, k) {
+                Json::Num(x) => *x,
+                other => panic!("{key}.{k} is not a number: {other}"),
+            };
+            assert!(matches!(field(s, "trials"), Json::Int(n) if *n >= TRIALS as i128));
+            assert!(
+                num("min") <= num("median") && num("median") <= num("max"),
+                "{s}"
+            );
+        }
+    }
+
+    /// The workload names its traffic and cache state, either once or per
+    /// timed figure.
+    fn assert_labelled(record: &Json) {
+        let workload = field(record, "workload");
+        for (key, allowed) in [
+            ("traffic", &["replay", "fresh", "repeat-groups"][..]),
+            ("cache", &["warm", "cold", "off"][..]),
+        ] {
+            let labels = match field(workload, key) {
+                Json::Obj(per_figure) => per_figure.iter().map(|(_, v)| v).collect(),
+                label => vec![label],
+            };
+            for label in labels {
+                assert!(
+                    matches!(label, Json::Str(s) if allowed.contains(&s.as_str())),
+                    "{key} label {label} not in {allowed:?}"
+                );
+            }
+        }
+        assert!(matches!(field(workload, "min_trial_s"), Json::Num(s) if *s >= 1.0));
+    }
+
+    fn cache_keys(v: &Json) {
+        assert_eq!(
+            keys(v),
+            ["hits", "misses", "fallbacks", "entries_live", "hit_rate"]
+        );
+    }
+
+    #[test]
+    fn bench1_record_schema() {
+        let r = bench1_record(1000, 30, spread(), Some(0.0), CacheStats::default());
+        assert_eq!(
+            keys(&r),
+            [
+                "schema",
+                "workload",
+                "decisions_per_sec",
+                "allocs_per_decision",
+                "decision_cache"
+            ]
+        );
+        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/1.1"));
+        assert_labelled(&r);
+        assert_eq!(
+            field(field(&r, "workload"), "traffic"),
+            &Json::from("replay")
+        );
+        assert_spreads(&r, &["decisions_per_sec"]);
+        assert_eq!(field(&r, "allocs_per_decision"), &Json::Num(0.0));
+        cache_keys(field(&r, "decision_cache"));
+    }
+
+    #[test]
+    fn bench2_record_schema() {
+        let stats = CacheStats::default();
+        let r = bench2_record(1000, 64, (spread(), stats), (spread(), stats));
+        assert_eq!(
+            keys(&r),
+            [
+                "schema",
+                "workload",
+                "collisions_off_tasks_per_sec",
+                "collisions_on_tasks_per_sec",
+                "decision_cache"
+            ]
+        );
+        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/2.1"));
+        assert_labelled(&r);
+        assert_spreads(
+            &r,
+            &[
+                "collisions_off_tasks_per_sec",
+                "collisions_on_tasks_per_sec",
+            ],
+        );
+        let caches = field(&r, "decision_cache");
+        assert_eq!(keys(caches), ["collisions_off", "collisions_on"]);
+        cache_keys(field(caches, "collisions_off"));
+    }
+
+    #[test]
+    fn bench4_record_schema() {
+        let point = ScalePoint {
+            nodes: 1000,
+            area_side: 1000.0,
+            tile_count: 1,
+            substrate_build_s: spread(),
+            eager_build_s: Some(spread()),
+            region_build_s: spread(),
+            materialized_tiles: 1,
+            materialized_nodes: 1000,
+            substrate_heap_bytes: 20_008,
+            windows: 4,
+            tasks: 100,
+            failed_tasks: 0,
+            tasks_per_sec: spread(),
+            decisions_per_sec: spread(),
+            allocs_per_decision: Some(0.0),
+            peak_rss_bytes: Some(1 << 20),
+        };
+        let lazy = ScalePoint {
+            eager_build_s: None,
+            ..point.clone()
+        };
+        let r = scale_record(&[point, lazy], 4, 25, 10);
+        assert_eq!(keys(&r), ["schema", "workload", "note", "points"]);
+        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/4.1"));
+        assert_labelled(&r);
+        let Json::Arr(points) = field(&r, "points") else {
+            panic!("points is not an array");
+        };
+        assert_eq!(points.len(), 2);
+        let timed = [
+            "substrate_build_s",
+            "region_build_s",
+            "tasks_per_sec",
+            "decisions_per_sec",
+        ];
+        for p in points {
+            assert_eq!(
+                keys(p),
+                [
+                    "nodes",
+                    "area_side_m",
+                    "tile_count",
+                    "substrate_build_s",
+                    "eager_build_s",
+                    "region_build_s",
+                    "materialized_tiles",
+                    "materialized_nodes",
+                    "substrate_heap_bytes",
+                    "windows",
+                    "tasks",
+                    "failed_tasks",
+                    "tasks_per_sec",
+                    "decisions_per_sec",
+                    "allocs_per_decision",
+                    "peak_rss_bytes"
+                ]
+            );
+            assert_spreads(p, &timed);
+        }
+        assert_spreads(&points[0], &["eager_build_s"]);
+        assert_eq!(field(&points[1], "eager_build_s"), &Json::Null);
+    }
+
+    #[test]
+    fn bench5_record_schema() {
+        let point = ServicePoint {
+            topology: "paper-1000".into(),
+            nodes: 1000,
+            sessions: 1000,
+            groups: 16,
+            membership_updates: 586,
+            fault_crashes: 9,
+            skipped_empty: 0,
+            sequential_sessions_per_sec: spread(),
+            concurrent_sessions_per_sec: spread(),
+            decisions_per_sec: spread(),
+            p50_latency_ms: spread(),
+            p99_latency_ms: spread(),
+            threads: 2,
+            parallel_sessions_per_sec: spread(),
+            parallel_p50_latency_ms: spread(),
+            parallel_p99_latency_ms: spread(),
+            speedup: spread(),
+            parallel_scaling: spread(),
+            allocs_per_session: Some(69.5),
+            steady_alloc_drift: Some(0),
+            cache: CacheStats::default(),
+            reports_match: true,
+        };
+        let r = service_record(&[point], 2);
+        assert_eq!(keys(&r), ["schema", "workload", "note", "points"]);
+        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/5.1"));
+        assert_labelled(&r);
+        let Json::Arr(points) = field(&r, "points") else {
+            panic!("points is not an array");
+        };
+        let p = &points[0];
+        assert_spreads(
+            p,
+            &[
+                "sequential_sessions_per_sec",
+                "concurrent_sessions_per_sec",
+                "decisions_per_sec",
+                "p50_latency_ms",
+                "p99_latency_ms",
+                "parallel_sessions_per_sec",
+                "parallel_p50_latency_ms",
+                "parallel_p99_latency_ms",
+                "speedup",
+                "parallel_scaling",
+            ],
+        );
+        // Certificates stay exact single values.
+        assert_eq!(field(p, "reports_match"), &Json::Bool(true));
+        assert_eq!(field(p, "steady_alloc_drift"), &Json::Int(0));
+        assert_eq!(field(p, "allocs_per_session"), &Json::Num(69.5));
+        assert_eq!(field(p, "threads"), &Json::Int(2));
+        cache_keys(field(p, "decision_cache"));
+    }
+
+    #[test]
+    fn campaign_record_schemas() {
+        let row = CampaignRow {
+            intensity: 0.05,
+            protocol: "GMP".into(),
+            delivered: 9,
+            total_dests: 10,
+            delivery_ratio: 0.9,
+            justified_failures: 1,
+            unjustified_failures: 0,
+            unjustified_rate: 0.0,
+            mean_dest_hops: 4.5,
+            mean_path_stretch: f64::NAN,
+            total_hops: 20.0,
+            hop_overhead: f64::NAN,
+            cause_counts: [0; gmp_bench::campaign::CAUSE_COUNT],
+            tasks: 1,
+        };
+        for schema in ["gmp-bench/3", "gmp-bench/6"] {
+            let r = campaign_record(
+                schema,
+                &SimConfig::paper(),
+                &Scale::quick(),
+                &[ProtocolKind::Gmp, ProtocolKind::Mcfr],
+                std::slice::from_ref(&row),
+            );
+            assert_eq!(keys(&r), ["schema", "workload", "rows"]);
+            assert_eq!(field(&r, "schema"), &Json::from(schema));
+            assert_eq!(
+                keys(field(&r, "workload")),
+                [
+                    "nodes",
+                    "k",
+                    "networks",
+                    "tasks_per_network",
+                    "max_path_hops",
+                    "intensities",
+                    "protocols"
+                ]
+            );
+            let Json::Arr(rows) = field(&r, "rows") else {
+                panic!("rows is not an array");
+            };
+            let row = &rows[0];
+            assert_eq!(
+                keys(row),
+                [
+                    "intensity",
+                    "protocol",
+                    "delivered",
+                    "total_dests",
+                    "delivery_ratio",
+                    "justified_failures",
+                    "unjustified_failures",
+                    "unjustified_rate",
+                    "mean_dest_hops",
+                    "mean_path_stretch",
+                    "total_hops",
+                    "hop_overhead",
+                    "causes"
+                ]
+            );
+            let causes: Vec<&str> = FailureCause::ALL.iter().map(|c| c.as_str()).collect();
+            assert_eq!(keys(field(row, "causes")), causes);
+            // No baseline and nothing delivered render as null, not NaN.
+            assert_eq!(field(row, "mean_path_stretch").to_string(), "null");
+            assert!(!r.to_string().contains("NaN"));
+        }
+    }
 }

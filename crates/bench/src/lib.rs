@@ -11,6 +11,8 @@
 //!   count, the Figure 15 density sweep, and the extension ablations;
 //! * [`campaign`] — fault-injection robustness campaigns judged by the
 //!   delivery-guarantee oracle (`BENCH_3.json`);
+//! * [`record`] — the one JSON writer and trial helper behind every
+//!   `BENCH_*.json` file;
 //! * [`table`] — plain-text table rendering and CSV output;
 //! * [`chart`] — SVG line charts, regenerating the figures themselves.
 
@@ -22,7 +24,7 @@ pub mod campaign;
 pub mod chart;
 pub mod experiments;
 pub mod protocols;
-pub mod rss;
+pub mod record;
 pub mod scale;
 pub mod service;
 pub mod table;
@@ -35,7 +37,7 @@ pub use experiments::{
     DensityRow, Scale, SweepRow,
 };
 pub use protocols::ProtocolKind;
-pub use rss::peak_rss_bytes;
+pub use record::peak_rss_bytes;
 pub use scale::{scale_curve, ScalePoint};
 pub use service::{paper_scaling_curve, sharded_service_point, ServicePoint};
 pub use table::{render_table, write_csv};

@@ -15,8 +15,9 @@
 //!   topology on a single thread, sharing the decision cache and pooled
 //!   scratch state; the `reports_match` flag certifies each session's
 //!   report is bit-identical to its sequential twin;
-//! * the **parallel engine** shards the event wheel across 1/2/4/8
-//!   worker threads ([`SessionEngine::run_parallel`]), every worker's
+//! * the **parallel engine** shards the event wheel across a worker
+//!   axis capped at the host's core count
+//!   ([`SessionEngine::run_parallel`]), every worker's
 //!   router backed by ONE shared [`ConcurrentTreeCache`] — so misses are
 //!   paid once fleet-wide instead of once per worker, and outcomes stay
 //!   bit-identical at every thread count (that is the per-point
@@ -30,18 +31,23 @@
 //! as-fast-as-possible loop, not simulated service time; the parallel
 //! percentiles expose the latency cost of sharing a core budget across
 //! workers.
+//!
+//! Every leg starts from a cold decision cache, and every timed figure is
+//! a [`Spread`] over [`crate::record::TRIALS`] trials. One trial times
+//! every leg back to back, so `speedup` and `parallel_scaling` are ratios
+//! of legs timed in the *same* trial: concurrent over sequential, and
+//! `threads` workers over one worker.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use gmp_core::{CacheConfig, CacheStats, ConcurrentTreeCache, GmpRouter};
 use gmp_net::{NodeId, ShardConfig, ShardedTopology, Topology};
 use gmp_service::{
-    EngineProtocol, ParallelProtocol, ServiceWorkload, SessionEngine, SessionOutcome,
-    WorkloadParams,
+    EngineProtocol, ParallelProtocol, ServiceRun, ServiceWorkload, SessionEngine, WorkloadParams,
 };
 use gmp_sim::{FaultPlan, Protocol, RegionSim, SimConfig, TaskReport, TaskRunner};
 
+use crate::record::{rate, trials, Spread};
 use crate::scale::{window_at, MARGIN, RADIO_RANGE};
 
 /// Fraction of candidate nodes crashed at session-local t = 0 (one in
@@ -65,44 +71,38 @@ pub struct ServicePoint {
     pub fault_crashes: usize,
     /// Sessions skipped because their group was empty at snapshot time.
     pub skipped_empty: usize,
-    /// Wall seconds for the back-to-back sequential baseline.
-    pub sequential_wall_s: f64,
     /// Sequential sessions per second.
-    pub sequential_sessions_per_sec: f64,
-    /// Wall seconds for the single-threaded concurrent engine.
-    pub concurrent_wall_s: f64,
-    /// Concurrent sessions per second.
-    pub concurrent_sessions_per_sec: f64,
+    pub sequential_sessions_per_sec: Spread,
+    /// Single-thread concurrent engine sessions per second.
+    pub concurrent_sessions_per_sec: Spread,
     /// Routing decisions per second through the concurrent engine.
-    pub decisions_per_sec: f64,
+    pub decisions_per_sec: Spread,
     /// Median session latency (admission → completion) of the
     /// single-thread concurrent engine, milliseconds.
-    pub p50_latency_ms: f64,
+    pub p50_latency_ms: Spread,
     /// 99th-percentile concurrent session latency, milliseconds.
-    pub p99_latency_ms: f64,
+    pub p99_latency_ms: Spread,
     /// Worker threads driving the sharded parallel engine at this point.
     pub threads: usize,
-    /// Wall seconds for the multi-worker parallel engine.
-    pub parallel_wall_s: f64,
     /// Parallel sessions per second.
-    pub parallel_sessions_per_sec: f64,
+    pub parallel_sessions_per_sec: Spread,
     /// Median parallel session latency, milliseconds.
-    pub parallel_p50_latency_ms: f64,
+    pub parallel_p50_latency_ms: Spread,
     /// 99th-percentile parallel session latency, milliseconds.
-    pub parallel_p99_latency_ms: f64,
-    /// Concurrent vs sequential throughput ratio (the ≥2x headline gate).
-    pub speedup: f64,
-    /// Parallel vs single-thread concurrent throughput ratio — the
+    pub parallel_p99_latency_ms: Spread,
+    /// Concurrent vs sequential throughput, per trial.
+    pub speedup: Spread,
+    /// `threads`-worker vs 1-worker parallel throughput, per trial — the
     /// core-scaling curve's y-axis.
-    pub parallel_scaling: f64,
+    pub parallel_scaling: Spread,
     /// Heap allocations per session over a warmed parallel re-run;
     /// `None` when no allocation counter hook was supplied.
     pub allocs_per_session: Option<f64>,
     /// Allocation-count difference between two identical warmed parallel
     /// re-runs (steady state ⇔ exactly 0); `None` without a counter hook.
     pub steady_alloc_drift: Option<i64>,
-    /// Statistics of the [`ConcurrentTreeCache`] shared by this point's
-    /// workers, summed across windows on the sharded substrate.
+    /// Statistics of the [`ConcurrentTreeCache`]s shared by this point's
+    /// workers over one cold run, summed across windows.
     pub cache: CacheStats,
     /// Whether every concurrent and parallel report was bit-identical to
     /// its sequential twin.
@@ -131,48 +131,63 @@ fn crash_plan(candidates: &[NodeId]) -> FaultPlan {
     plan
 }
 
-fn crash_count(plan: &FaultPlan) -> usize {
-    plan.events
-        .iter()
-        .filter(|e| matches!(e, gmp_sim::FaultEvent::Crash { .. }))
-        .count()
+/// One service window: a topology and the faulted config and workload its
+/// sessions run under.
+struct Window<'t> {
+    topo: &'t Topology,
+    config: SimConfig,
+    workload: ServiceWorkload,
+    crashes: usize,
+}
+
+impl<'t> Window<'t> {
+    /// Draws the workload over `candidates`. The crashes are live
+    /// in-simulation too: every session runs under the same timed plan
+    /// (identical alive vectors keep the decision cache shared), while the
+    /// membership stream drops the same nodes after the detection delay.
+    fn new(topo: &'t Topology, candidates: &[NodeId], params: &WorkloadParams, seed: u64) -> Self {
+        let plan = crash_plan(candidates);
+        let crashes = plan.events.len();
+        Window {
+            topo,
+            workload: ServiceWorkload::random(candidates, params, &plan, seed),
+            config: SimConfig::paper().with_faults(plan),
+            crashes,
+        }
+    }
 }
 
 /// Back-to-back sequential baseline: each session as a self-contained
 /// simulation (fresh router, fresh scratch — `ProtocolKind::run_task`'s
-/// idiom). Returns `(reports by session id, completed count, wall seconds)`.
-fn sequential_baseline(
-    topo: &Topology,
-    config: &SimConfig,
-    workload: &ServiceWorkload,
-) -> (Vec<Option<TaskReport>>, usize, f64) {
-    let tasks = workload.resolve_tasks();
-    let runner = TaskRunner::new(topo, config);
-    let t0 = Instant::now();
-    let mut completed = 0usize;
-    let reports: Vec<Option<TaskReport>> = workload
-        .sessions
+/// idiom). Returns each window's reports by session id.
+fn sequential(windows: &[Window]) -> Vec<Vec<Option<TaskReport>>> {
+    windows
         .iter()
-        .zip(&tasks)
-        .map(|(spec, task)| {
-            task.as_ref().map(|task| {
-                completed += 1;
-                let mut router = GmpRouter::new();
-                runner.run_seeded(&mut router, task, spec.seed)
-            })
+        .map(|w| {
+            let runner = TaskRunner::new(w.topo, &w.config);
+            w.workload
+                .sessions
+                .iter()
+                .zip(w.workload.resolve_tasks())
+                .map(|(spec, task)| {
+                    task.map(|task| runner.run_seeded(&mut GmpRouter::new(), &task, spec.seed))
+                })
+                .collect()
         })
-        .collect();
-    (reports, completed, t0.elapsed().as_secs_f64())
+        .collect()
 }
 
-/// Verifies every engine outcome against its sequential twin.
-fn outcomes_match(outcomes: &[SessionOutcome], sequential: &[Option<TaskReport>]) -> bool {
-    outcomes.iter().all(|o| {
-        sequential
-            .get(o.id as usize)
-            .and_then(|r| r.as_ref())
-            .is_some_and(|r| *r == o.report)
-    })
+/// The single-thread concurrent engine over each window in turn, each
+/// from a cold router.
+fn concurrent(windows: &[Window]) -> Vec<ServiceRun> {
+    windows
+        .iter()
+        .map(|w| {
+            let mut router = GmpRouter::new();
+            SessionEngine::new(w.topo, &w.config)
+                .run(EngineProtocol::Shared(&mut router), &w.workload)
+        })
+        .collect()
 }
 
 /// A `Sync` router factory whose products all share `cache` — what every
@@ -181,27 +196,223 @@ fn shared_router_factory(cache: Arc<ConcurrentTreeCache>) -> impl Fn() -> Box<dy
     move || Box::new(GmpRouter::with_shared_cache(Arc::clone(&cache))) as Box<dyn Protocol>
 }
 
+fn cold_cache() -> Arc<ConcurrentTreeCache> {
+    Arc::new(ConcurrentTreeCache::with_config(CacheConfig::default()))
+}
+
+/// The parallel engine over each window in turn, its wheel sharded across
+/// `threads` workers over one cold per-window cache (windows are distinct
+/// topologies). Returns the runs and the caches' summed statistics.
+fn parallel(windows: &[Window], threads: usize) -> (Vec<ServiceRun>, CacheStats) {
+    let mut stats = CacheStats::default();
+    let runs = windows
+        .iter()
+        .map(|w| {
+            let cache = cold_cache();
+            let factory = shared_router_factory(Arc::clone(&cache));
+            let run = SessionEngine::new(w.topo, &w.config).run_parallel(
+                ParallelProtocol::PerWorker(&factory),
+                &w.workload,
+                threads,
+            );
+            stats = sum_cache(stats, cache.stats());
+            run
+        })
+        .collect();
+    (runs, stats)
+}
+
+/// Verifies every engine outcome against its sequential twin.
+fn runs_match(runs: &[ServiceRun], sequential: &[Vec<Option<TaskReport>>]) -> bool {
+    runs.iter().zip(sequential).all(|(run, seq)| {
+        run.outcomes.iter().all(|o| {
+            seq.get(o.id as usize)
+                .and_then(|r| r.as_ref())
+                .is_some_and(|r| *r == o.report)
+        })
+    })
+}
+
+fn completed(runs: &[ServiceRun]) -> usize {
+    runs.iter().map(|r| r.outcomes.len()).sum()
+}
+
+/// One engine leg's figures in one trial.
+#[derive(Debug, Clone, Copy)]
+struct Leg {
+    per_sec: f64,
+    p50_ms: f64,
+    p99_ms: f64,
+}
+
+/// Times one trial of `pass` (one run over every window): sessions per
+/// second, and latency percentiles over every session the trial ran.
+fn time_leg(mut pass: impl FnMut() -> Vec<ServiceRun>) -> Leg {
+    let mut latencies: Vec<f64> = Vec::new();
+    let per_sec = rate(|| {
+        let runs = pass();
+        let before = latencies.len();
+        latencies.extend(
+            runs.iter()
+                .flat_map(|r| r.outcomes.iter().map(|o| o.latency_s)),
+        );
+        latencies.len() - before
+    });
+    Leg {
+        per_sec,
+        p50_ms: percentile_ms(&mut latencies, 0.50),
+        p99_ms: percentile_ms(&mut latencies, 0.99),
+    }
+}
+
+/// One trial: every leg timed back to back.
+#[derive(Debug)]
+struct Trial {
+    sequential: f64,
+    concurrent: Leg,
+    /// One leg per entry of the worker list (1 worker first).
+    parallel: Vec<Leg>,
+}
+
+/// Steady-state allocation profile of the parallel engine. Warm-up runs
+/// until two consecutive passes allocate the same amount: the scratch
+/// pool is returned in worker order and re-dealt round-robin, so a
+/// scratch can land on a higher-demand session a few runs in and still
+/// grow a buffer — capacities only ever grow, so this converges, but at
+/// higher worker counts it can take more than one pass. Two measured
+/// re-runs then replay the identical strided schedule against the
+/// now-frozen shared caches. Any drift between them means the
+/// multi-worker path is still allocating; steady state is exactly 0.
+/// Returns (allocations per session, drift).
+fn alloc_profile(
+    windows: &[Window],
+    threads: usize,
+    count: &dyn Fn() -> usize,
+    sessions: usize,
+) -> (f64, i64) {
+    let factories: Vec<_> = windows
+        .iter()
+        .map(|_| shared_router_factory(cold_cache()))
+        .collect();
+    let mut engines: Vec<SessionEngine> = windows
+        .iter()
+        .map(|w| SessionEngine::new(w.topo, &w.config))
+        .collect();
+    let mut rerun = || {
+        let before = count();
+        for ((engine, factory), w) in engines.iter_mut().zip(&factories).zip(windows) {
+            let _ = engine.run_parallel(ParallelProtocol::PerWorker(factory), &w.workload, threads);
+        }
+        count() - before
+    };
+    rerun();
+    let mut prev = rerun();
+    for _ in 0..8 {
+        if std::mem::replace(&mut prev, rerun()) == prev {
+            break;
+        }
+    }
+    let last = rerun();
+    (
+        prev as f64 / sessions.max(1) as f64,
+        last as i64 - prev as i64,
+    )
+}
+
+/// Measures the service over `windows`, one [`ServicePoint`] per entry of
+/// `threads_axis`. The sequential, concurrent and 1-worker parallel legs
+/// run in every trial whatever the axis; the certificates (report
+/// parity, cache statistics, allocation profile) come from separate
+/// untimed cold runs.
+fn measure_service(
+    topology: &str,
+    nodes: usize,
+    windows: &[Window],
+    threads_axis: &[usize],
+    alloc_counter: Option<&dyn Fn() -> usize>,
+) -> Vec<ServicePoint> {
+    let seq = sequential(windows);
+    let sessions = seq.iter().flatten().filter(|r| r.is_some()).count();
+    let conc = concurrent(windows);
+    let conc_match = runs_match(&conc, &seq);
+    assert_eq!(
+        completed(&conc),
+        sessions,
+        "engine and baseline disagree on session count"
+    );
+    let decisions_per_session =
+        conc.iter().map(|r| r.decisions).sum::<usize>() as f64 / sessions.max(1) as f64;
+
+    let mut workers = vec![1];
+    workers.extend_from_slice(threads_axis);
+    workers.sort_unstable();
+    workers.dedup();
+    let runs = trials(|| Trial {
+        sequential: rate(|| {
+            let seq = sequential(windows);
+            seq.iter().flatten().filter(|r| r.is_some()).count()
+        }),
+        concurrent: time_leg(|| concurrent(windows)),
+        parallel: workers
+            .iter()
+            .map(|&threads| time_leg(|| parallel(windows, threads).0))
+            .collect(),
+    });
+
+    threads_axis
+        .iter()
+        .map(|&threads| {
+            let i = workers
+                .binary_search(&threads)
+                .expect("axis entry in worker list");
+            let (par, cache) = parallel(windows, threads);
+            assert_eq!(completed(&par), sessions, "parallel leg lost sessions");
+            let (allocs_per_session, steady_alloc_drift) = alloc_counter
+                .map(|count| alloc_profile(windows, threads, count, sessions))
+                .unzip();
+            ServicePoint {
+                topology: topology.to_string(),
+                nodes,
+                sessions,
+                groups: windows.iter().map(|w| w.workload.groups.len()).sum(),
+                membership_updates: windows.iter().map(|w| w.workload.updates.len()).sum(),
+                fault_crashes: windows.iter().map(|w| w.crashes).sum(),
+                skipped_empty: conc.iter().map(|r| r.skipped_empty).sum(),
+                sequential_sessions_per_sec: Spread::over(&runs, |t| t.sequential),
+                concurrent_sessions_per_sec: Spread::over(&runs, |t| t.concurrent.per_sec),
+                decisions_per_sec: Spread::over(&runs, |t| {
+                    t.concurrent.per_sec * decisions_per_session
+                }),
+                p50_latency_ms: Spread::over(&runs, |t| t.concurrent.p50_ms),
+                p99_latency_ms: Spread::over(&runs, |t| t.concurrent.p99_ms),
+                threads,
+                parallel_sessions_per_sec: Spread::over(&runs, |t| t.parallel[i].per_sec),
+                parallel_p50_latency_ms: Spread::over(&runs, |t| t.parallel[i].p50_ms),
+                parallel_p99_latency_ms: Spread::over(&runs, |t| t.parallel[i].p99_ms),
+                speedup: Spread::over(&runs, |t| t.concurrent.per_sec / t.sequential),
+                parallel_scaling: Spread::over(&runs, |t| {
+                    t.parallel[i].per_sec / t.parallel[0].per_sec
+                }),
+                allocs_per_session,
+                steady_alloc_drift,
+                cache,
+                reports_match: conc_match && runs_match(&par, &seq),
+            }
+        })
+        .collect()
+}
+
 /// Runs the service benchmark on the paper-scale topology (1000 nodes,
 /// topology seed 1), producing one [`ServicePoint`] per entry of
-/// `threads_axis`. The sequential and single-thread concurrent legs run
-/// once and are replicated into every point; the parallel leg (and its
-/// shared cache, latency percentiles, and steady-state allocation
-/// certificate) is measured per worker count, from cold.
+/// `threads_axis`.
 pub fn paper_scaling_curve(
     sessions: usize,
     seed: u64,
     alloc_counter: Option<&dyn Fn() -> usize>,
     threads_axis: &[usize],
 ) -> Vec<ServicePoint> {
-    let base = SimConfig::paper();
-    let topo = Topology::random(&base.topology_config(), 1);
+    let topo = Topology::random(&SimConfig::paper().topology_config(), 1);
     let candidates: Vec<NodeId> = (0..topo.len() as u32).map(NodeId).collect();
-    let plan = crash_plan(&candidates);
-    // The crashes are live in-simulation too: every session runs under the
-    // same timed plan (identical alive vectors keep the decision cache
-    // shared), while the membership stream drops the same nodes after the
-    // detection delay.
-    let config = base.with_faults(plan.clone());
     let params = WorkloadParams {
         groups: 16,
         members_per_group: 24,
@@ -212,124 +423,22 @@ pub fn paper_scaling_curve(
         max_members: 40,
         crash_detect_s: 30.0,
     };
-    let workload = ServiceWorkload::random(&candidates, &params, &plan, seed);
-
-    // Sequential baseline.
-    let (seq_reports, seq_completed, seq_wall) = sequential_baseline(&topo, &config, &workload);
-
-    // Concurrent engine, single-threaded, from cold.
-    let mut router = GmpRouter::new();
-    let mut engine = SessionEngine::new(&topo, &config);
-    let t0 = Instant::now();
-    let run = engine.run(EngineProtocol::Shared(&mut router), &workload);
-    let conc_wall = t0.elapsed().as_secs_f64();
-    let base_match = outcomes_match(&run.outcomes, &seq_reports);
-    let mut conc_latencies: Vec<f64> = run.outcomes.iter().map(|o| o.latency_s).collect();
-    let completed = run.outcomes.len();
-    assert_eq!(
-        completed, seq_completed,
-        "engine and baseline disagree on session count"
-    );
-    let p50_latency_ms = percentile_ms(&mut conc_latencies, 0.50);
-    let p99_latency_ms = percentile_ms(&mut conc_latencies, 0.99);
-
-    threads_axis
-        .iter()
-        .map(|&threads| {
-            // Parallel leg, from cold at every point: a fresh shared
-            // cache so each point's hit rate is self-contained, a fresh
-            // engine so no pool warmth leaks between thread counts.
-            let cache = Arc::new(ConcurrentTreeCache::with_config(CacheConfig::default()));
-            let factory = shared_router_factory(Arc::clone(&cache));
-            let mut engine = SessionEngine::new(&topo, &config);
-            let t0 = Instant::now();
-            let par =
-                engine.run_parallel(ParallelProtocol::PerWorker(&factory), &workload, threads);
-            let par_wall = t0.elapsed().as_secs_f64();
-            let reports_match = base_match && outcomes_match(&par.outcomes, &seq_reports);
-            assert_eq!(par.outcomes.len(), completed, "parallel leg lost sessions");
-            let mut par_latencies: Vec<f64> = par.outcomes.iter().map(|o| o.latency_s).collect();
-
-            // Steady-state allocation profile of the *parallel* engine.
-            // Warm-up runs until two consecutive passes allocate the same
-            // amount: the scratch pool is returned in worker order and
-            // re-dealt round-robin, so a scratch can land on a
-            // higher-demand session a few runs in and still grow a buffer
-            // — capacities only ever grow, so this converges, but at
-            // higher worker counts it can take more than one pass. Two
-            // measured re-runs then replay the identical strided schedule
-            // against the now-frozen shared cache. Any drift between them
-            // means the multi-worker path is still allocating; steady
-            // state is exactly 0.
-            let (allocs_per_session, steady_alloc_drift) = match alloc_counter {
-                Some(count) => {
-                    let mut rerun = || {
-                        let before = count();
-                        let _ = engine.run_parallel(
-                            ParallelProtocol::PerWorker(&factory),
-                            &workload,
-                            threads,
-                        );
-                        count() - before
-                    };
-                    let mut prev = rerun();
-                    for _ in 0..8 {
-                        let next = rerun();
-                        let settled = next == prev;
-                        prev = next;
-                        if settled {
-                            break;
-                        }
-                    }
-                    let run2 = prev;
-                    let run3 = rerun();
-                    (
-                        Some(run2 as f64 / completed.max(1) as f64),
-                        Some(run3 as i64 - run2 as i64),
-                    )
-                }
-                None => (None, None),
-            };
-
-            ServicePoint {
-                topology: "paper-1000".into(),
-                nodes: topo.len(),
-                sessions: completed,
-                groups: params.groups,
-                membership_updates: workload.updates.len(),
-                fault_crashes: crash_count(&plan),
-                skipped_empty: run.skipped_empty,
-                sequential_wall_s: seq_wall,
-                sequential_sessions_per_sec: completed as f64 / seq_wall,
-                concurrent_wall_s: conc_wall,
-                concurrent_sessions_per_sec: completed as f64 / conc_wall,
-                decisions_per_sec: run.decisions as f64 / conc_wall,
-                p50_latency_ms,
-                p99_latency_ms,
-                threads,
-                parallel_wall_s: par_wall,
-                parallel_sessions_per_sec: completed as f64 / par_wall,
-                parallel_p50_latency_ms: percentile_ms(&mut par_latencies, 0.50),
-                parallel_p99_latency_ms: percentile_ms(&mut par_latencies, 0.99),
-                speedup: seq_wall / conc_wall,
-                parallel_scaling: conc_wall / par_wall,
-                allocs_per_session,
-                steady_alloc_drift,
-                cache: cache.stats(),
-                reports_match,
-            }
-        })
-        .collect()
+    let window = Window::new(&topo, &candidates, &params, seed);
+    measure_service(
+        "paper-1000",
+        topo.len(),
+        &[window],
+        threads_axis,
+        alloc_counter,
+    )
 }
 
 /// Runs the service benchmark over the sharded lazy substrate: sessions
 /// spread across paper-sized task windows of a `total_nodes` deployment
 /// at paper density. Windows are processed one after another, each
 /// window's engine sharded across `threads` workers over one shared
-/// per-window cache — so the parallel budget no longer caps at the
-/// window count the way the old per-batch fan-out did (the super-batch
-/// regime), and misses inside a window are paid once, not once per
-/// worker.
+/// per-window cache — so the parallel budget does not cap at the window
+/// count, and misses inside a window are paid once, not once per worker.
 pub fn sharded_service_point(
     total_nodes: usize,
     windows: usize,
@@ -345,115 +454,28 @@ pub fn sharded_service_point(
     let regions: Vec<RegionSim> = (0..windows)
         .map(|w| RegionSim::new(&sharded, window_at(area_side, w), MARGIN))
         .collect();
-    let setups: Vec<(usize, FaultPlan, ServiceWorkload, SimConfig)> = regions
+    let params = WorkloadParams {
+        groups: 8,
+        members_per_group: 32,
+        churn_updates: (sessions_per_window / 3).max(100),
+        sessions: sessions_per_window,
+        duration_s: 60.0,
+        min_members: 2,
+        max_members: 48,
+        crash_detect_s: 30.0,
+    };
+    let windows: Vec<Window> = regions
         .iter()
         .enumerate()
         .map(|(w, region)| {
-            let candidates = region.window_nodes().to_vec();
-            let plan = crash_plan(&candidates);
-            let params = WorkloadParams {
-                groups: 8,
-                members_per_group: 32,
-                churn_updates: (sessions_per_window / 3).max(100),
-                sessions: sessions_per_window,
-                duration_s: 60.0,
-                min_members: 2,
-                max_members: 48,
-                crash_detect_s: 30.0,
-            };
-            let workload =
-                ServiceWorkload::random(&candidates, &params, &plan, seed ^ (w as u64 + 1));
-            // The window's crashes are live in-simulation for every one of
-            // its sessions (see `paper_scaling_curve`).
-            let config = SimConfig::paper().with_faults(plan.clone());
-            (w, plan, workload, config)
+            let seed = seed ^ (w as u64 + 1);
+            Window::new(region.topology(), region.window_nodes(), &params, seed)
         })
         .collect();
-
-    // Sequential baseline across every window.
-    let t0 = Instant::now();
-    let mut seq_reports: Vec<Vec<Option<TaskReport>>> = Vec::with_capacity(windows);
-    let mut seq_completed = 0usize;
-    for (w, _, workload, config) in &setups {
-        let (reports, completed, _) = sequential_baseline(regions[*w].topology(), config, workload);
-        seq_completed += completed;
-        seq_reports.push(reports);
-    }
-    let seq_wall = t0.elapsed().as_secs_f64();
-
-    // Concurrent engine, window after window on one thread (the decision
-    // cache is per-window: windows are distinct topologies).
-    let t0 = Instant::now();
-    let mut completed = 0usize;
-    let mut decisions = 0usize;
-    let mut skipped_empty = 0usize;
-    let mut latencies: Vec<f64> = Vec::new();
-    let mut reports_match = true;
-    for (w, _, workload, config) in &setups {
-        let mut router = GmpRouter::new();
-        let mut engine = SessionEngine::new(regions[*w].topology(), config);
-        let run = engine.run(EngineProtocol::Shared(&mut router), workload);
-        reports_match &= outcomes_match(&run.outcomes, &seq_reports[*w]);
-        completed += run.outcomes.len();
-        decisions += run.decisions;
-        skipped_empty += run.skipped_empty;
-        latencies.extend(run.outcomes.iter().map(|o| o.latency_s));
-    }
-    let conc_wall = t0.elapsed().as_secs_f64();
-    assert_eq!(
-        completed, seq_completed,
-        "engine and baseline disagree on session count"
-    );
-
-    let membership_updates: usize = setups.iter().map(|(_, _, w, _)| w.updates.len()).sum();
-    let fault_crashes: usize = setups.iter().map(|(_, p, _, _)| crash_count(p)).sum();
-
-    // Parallel leg: window after window, each window's wheel sharded
-    // across `threads` workers over one shared per-window cache.
-    let t0 = Instant::now();
-    let mut par_completed = 0usize;
-    let mut par_latencies: Vec<f64> = Vec::new();
-    let mut cache = CacheStats::default();
-    for (w, _, workload, config) in &setups {
-        let shared = Arc::new(ConcurrentTreeCache::with_config(CacheConfig::default()));
-        let factory = shared_router_factory(Arc::clone(&shared));
-        let mut engine = SessionEngine::new(regions[*w].topology(), config);
-        let par = engine.run_parallel(ParallelProtocol::PerWorker(&factory), workload, threads);
-        reports_match &= outcomes_match(&par.outcomes, &seq_reports[*w]);
-        par_completed += par.outcomes.len();
-        par_latencies.extend(par.outcomes.iter().map(|o| o.latency_s));
-        cache = sum_cache(cache, shared.stats());
-    }
-    let par_wall = t0.elapsed().as_secs_f64();
-    assert_eq!(par_completed, completed, "parallel leg lost sessions");
-
-    ServicePoint {
-        topology: format!("sharded-{}k", total_nodes / 1000),
-        nodes: total_nodes,
-        sessions: completed,
-        groups: windows * 8,
-        membership_updates,
-        fault_crashes,
-        skipped_empty,
-        sequential_wall_s: seq_wall,
-        sequential_sessions_per_sec: completed as f64 / seq_wall,
-        concurrent_wall_s: conc_wall,
-        concurrent_sessions_per_sec: completed as f64 / conc_wall,
-        decisions_per_sec: decisions as f64 / conc_wall,
-        p50_latency_ms: percentile_ms(&mut latencies, 0.50),
-        p99_latency_ms: percentile_ms(&mut latencies, 0.99),
-        threads,
-        parallel_wall_s: par_wall,
-        parallel_sessions_per_sec: par_completed as f64 / par_wall,
-        parallel_p50_latency_ms: percentile_ms(&mut par_latencies, 0.50),
-        parallel_p99_latency_ms: percentile_ms(&mut par_latencies, 0.99),
-        speedup: seq_wall / conc_wall,
-        parallel_scaling: conc_wall / par_wall,
-        allocs_per_session: None,
-        steady_alloc_drift: None,
-        cache,
-        reports_match,
-    }
+    let label = format!("sharded-{}k", total_nodes / 1000);
+    measure_service(&label, total_nodes, &windows, &[threads], None)
+        .pop()
+        .expect("one point per axis entry")
 }
 
 /// Component-wise sum of two cache-stat snapshots (`entries_live` sums
@@ -489,9 +511,24 @@ mod tests {
         }
         assert_eq!(points[0].threads, 1);
         assert_eq!(points[1].threads, 2);
-        // The sequential/concurrent legs are shared across the curve.
-        assert_eq!(points[0].sequential_wall_s, points[1].sequential_wall_s);
-        assert_eq!(points[0].concurrent_wall_s, points[1].concurrent_wall_s);
+        // The sequential/concurrent legs are shared across the curve, and
+        // the 1-worker point is its own scaling reference.
+        assert_eq!(
+            points[0].sequential_sessions_per_sec,
+            points[1].sequential_sessions_per_sec
+        );
+        assert_eq!(points[0].speedup, points[1].speedup);
+        assert_eq!(points[0].parallel_scaling.median, 1.0);
+        for p in &points {
+            for s in [
+                p.sequential_sessions_per_sec,
+                p.parallel_scaling,
+                p.p99_latency_ms,
+            ] {
+                assert_eq!(s.trials, crate::record::TRIALS);
+                assert!(s.min <= s.median && s.median <= s.max, "{s:?}");
+            }
+        }
     }
 
     #[test]

@@ -16,19 +16,12 @@ pub struct GmpConfig {
     /// Apply the Section 3.3 radio-range-aware pruning in rrSTR.
     /// `true` is GMP; `false` is the GMPnr ablation.
     pub radio_range_aware: bool,
-    /// Merge packet copies whose groups selected the same next hop into a
-    /// single transmission (the receiving node re-partitions anyway).
-    /// `false` is the paper-faithful behaviour (Figure 7 forwards one
-    /// copy per pivot unconditionally); `true` is a measurable
-    /// optimization ablation.
-    pub merge_same_next_hop: bool,
 }
 
 impl Default for GmpConfig {
     fn default() -> Self {
         GmpConfig {
             radio_range_aware: true,
-            merge_same_next_hop: false,
         }
     }
 }
@@ -67,7 +60,6 @@ impl GmpRouter {
     pub fn without_radio_range_awareness() -> Self {
         GmpRouter::with_config(GmpConfig {
             radio_range_aware: false,
-            ..GmpConfig::default()
         })
     }
 
@@ -109,12 +101,11 @@ impl GmpRouter {
     }
 }
 
-/// Builds the forwards for the covered groups and, if needed, one
-/// perimeter-mode copy for the void destinations. Operates on the
-/// grouping in place: merging coalesces the covered list, and the void
-/// list is moved into the perimeter packet.
+/// Builds the forwards for the covered groups (one copy per group, as
+/// Figure 7 forwards one copy per pivot) and, if needed, one
+/// perimeter-mode copy for the void destinations. The void list is moved
+/// out of the grouping into the perimeter packet.
 fn emit(
-    config: GmpConfig,
     ctx: &NodeContext<'_>,
     packet: &MulticastPacket,
     grouping: &mut Grouping,
@@ -122,19 +113,6 @@ fn emit(
     out: &mut Vec<Forward>,
 ) {
     let had_covered = !grouping.covered.is_empty();
-    if config.merge_same_next_hop {
-        // Coalesce groups sharing a next hop into one copy.
-        grouping.covered.sort_by_key(|g| g.next_hop);
-        grouping.covered.dedup_by(|b, a| {
-            if a.next_hop == b.next_hop {
-                a.dests.append(&mut b.dests);
-                a.dests.sort();
-                true
-            } else {
-                false
-            }
-        });
-    }
     out.extend(grouping.covered.iter().map(|g| {
         // A group carrying the packet's whole destination list forwards
         // the list by reference count instead of re-allocating it — the
@@ -219,14 +197,7 @@ impl Protocol for GmpRouter {
             prior.map(|p| p.entry),
             ctx.alive,
         );
-        emit(
-            self.config,
-            ctx,
-            &packet,
-            self.scratch.grouping_mut(),
-            prior,
-            out,
-        );
+        emit(ctx, &packet, self.scratch.grouping_mut(), prior, out);
     }
 }
 
@@ -252,32 +223,6 @@ mod tests {
         assert_eq!(GmpRouter::new().name(), "GMP");
         assert_eq!(GmpRouter::without_radio_range_awareness().name(), "GMPnr");
         assert!(GmpRouter::new().config().radio_range_aware);
-        assert!(!GmpRouter::new().config().merge_same_next_hop);
-    }
-
-    #[test]
-    fn merging_same_next_hop_never_increases_hops() {
-        let config = SimConfig::paper().with_node_count(600);
-        let topo = Topology::random(&config.topology_config(), 55);
-        let mut plain_total = 0usize;
-        let mut merged_total = 0usize;
-        for seed in 0..15u64 {
-            let task = MulticastTask::random(&topo, 15, seed);
-            let plain = run(&topo, &config, &mut GmpRouter::new(), &task);
-            let mut merged_router = GmpRouter::with_config(GmpConfig {
-                merge_same_next_hop: true,
-                ..GmpConfig::default()
-            });
-            let merged = run(&topo, &config, &mut merged_router, &task);
-            assert!(plain.delivered_all());
-            assert!(merged.delivered_all(), "merging must not break delivery");
-            plain_total += plain.transmissions;
-            merged_total += merged.transmissions;
-        }
-        assert!(
-            merged_total <= plain_total,
-            "merged {merged_total} > plain {plain_total}"
-        );
     }
 
     #[test]
