@@ -10,10 +10,17 @@
 //! Unlike the centralized SMT baseline, DSM's source knows only the
 //! *member* locations (which geographic multicast assumes anyway), not
 //! the whole topology: it builds a Euclidean MST over `{source} ∪
-//! destinations`, embeds that logical tree in the packet, and each tree
-//! edge is realized as a greedy geographic unicast leg. Because the tree
-//! is frozen at the source, DSM cannot adapt to what intermediate nodes
-//! see — exactly the rigidity LGT/GMP were designed to remove.
+//! destinations`, and each tree edge is realized as a greedy geographic
+//! unicast leg. Because the tree is frozen at the source, DSM cannot
+//! adapt to what intermediate nodes see — exactly the rigidity LGT/GMP
+//! were designed to remove.
+//!
+//! The paper's DSM carries the tree in the packet. This implementation
+//! keeps it in the router instead (built in [`Protocol::on_task_start`],
+//! read at every tree vertex), and the packet carries only the current
+//! leg's target. So DSM is per-task state — a session engine must give
+//! each session its own instance — and under `size_dependent_airtime`
+//! the tree's bytes are not charged to the packet.
 
 use std::collections::HashMap;
 use std::sync::Arc;

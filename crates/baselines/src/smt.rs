@@ -20,17 +20,65 @@ use gmp_net::NodeId;
 use gmp_sim::{Forward, MulticastPacket, NodeContext, Protocol, RoutingState};
 use gmp_steiner::kmb::kmb;
 
-/// The centralized source-routing baseline.
-#[derive(Debug, Clone, Default)]
-pub struct SmtRouter {
-    tree: Option<Arc<HashMap<NodeId, Vec<NodeId>>>>,
-}
+/// The centralized source-routing baseline. Stateless: the source builds
+/// the tree from the packet's destinations, and the tree then travels in
+/// the packet.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SmtRouter;
 
 impl SmtRouter {
-    /// Creates the router. The routing tree is computed per task in
-    /// [`Protocol::on_task_start`].
+    /// Creates the router.
     pub fn new() -> Self {
-        SmtRouter { tree: None }
+        SmtRouter
+    }
+
+    /// The KMB tree over the unit-disk graph rooted at `source`, as a
+    /// children map over the reached vertices; `None` when no tree exists.
+    fn source_tree(
+        ctx: &NodeContext<'_>,
+        source: NodeId,
+        dests: &[NodeId],
+    ) -> Option<Arc<HashMap<NodeId, Vec<NodeId>>>> {
+        // Unit-disk graph with hop weights.
+        let graph: Vec<Vec<(u32, f64)>> = (0..ctx.topo.len())
+            .map(|i| {
+                ctx.topo
+                    .neighbors(NodeId(i as u32))
+                    .iter()
+                    .map(|n| (n.0, 1.0))
+                    .collect()
+            })
+            .collect();
+        let mut terminals: Vec<u32> = vec![source.0];
+        terminals.extend(dests.iter().map(|d| d.0));
+        // Drop terminals unreachable from the source so the rest still get
+        // a tree.
+        let mut reachable = vec![false; ctx.topo.len()];
+        let mut queue = std::collections::VecDeque::from([source]);
+        reachable[source.index()] = true;
+        while let Some(u) = queue.pop_front() {
+            for &v in ctx.topo.neighbors(u) {
+                if !reachable[v.index()] {
+                    reachable[v.index()] = true;
+                    queue.push_back(v);
+                }
+            }
+        }
+        terminals.retain(|&t| reachable[t as usize]);
+        kmb(&graph, &terminals).map(|t| {
+            // Vertex-indexed children lists; only reached vertices carry a
+            // (possibly empty) entry in the packet-embedded map.
+            let to_nodes = |v: &[u32]| -> Vec<NodeId> { v.iter().copied().map(NodeId).collect() };
+            let children = t.rooted_children(source.0, graph.len());
+            let mut rooted = HashMap::new();
+            rooted.insert(source, to_nodes(&children[source.index()]));
+            for ch in &children {
+                for &v in ch {
+                    rooted.insert(NodeId(v), to_nodes(&children[v as usize]));
+                }
+            }
+            Arc::new(rooted)
+        })
     }
 
     /// Destinations of `packet` lying in the subtree rooted at `child`.
@@ -59,68 +107,22 @@ impl Protocol for SmtRouter {
         "SMT".into()
     }
 
-    fn on_task_start(&mut self, ctx: &NodeContext<'_>, source: NodeId, dests: &[NodeId]) {
-        // Unit-disk graph with hop weights.
-        let graph: Vec<Vec<(u32, f64)>> = (0..ctx.topo.len())
-            .map(|i| {
-                ctx.topo
-                    .neighbors(NodeId(i as u32))
-                    .iter()
-                    .map(|n| (n.0, 1.0))
-                    .collect()
-            })
-            .collect();
-        let mut terminals: Vec<u32> = vec![source.0];
-        terminals.extend(dests.iter().map(|d| d.0));
-        // Drop terminals unreachable from the source so the rest still get
-        // a tree.
-        let reachable = {
-            let mut seen = vec![false; ctx.topo.len()];
-            let mut q = std::collections::VecDeque::from([source]);
-            seen[source.index()] = true;
-            while let Some(u) = q.pop_front() {
-                for &v in ctx.topo.neighbors(u) {
-                    if !seen[v.index()] {
-                        seen[v.index()] = true;
-                        q.push_back(v);
-                    }
-                }
-            }
-            seen
-        };
-        terminals.retain(|&t| reachable[t as usize]);
-        self.tree = kmb(&graph, &terminals).map(|t| {
-            // Vertex-indexed children lists; only reached vertices carry a
-            // (possibly empty) entry in the packet-embedded map.
-            let to_nodes = |v: &[u32]| -> Vec<NodeId> { v.iter().copied().map(NodeId).collect() };
-            let children = t.rooted_children(source.0, graph.len());
-            let mut rooted = HashMap::new();
-            rooted.insert(source, to_nodes(&children[source.index()]));
-            for ch in &children {
-                for &v in ch {
-                    rooted.insert(NodeId(v), to_nodes(&children[v as usize]));
-                }
-            }
-            Arc::new(rooted)
-        });
-    }
-
     fn on_packet(
         &mut self,
         ctx: &NodeContext<'_>,
         packet: MulticastPacket,
         out: &mut Vec<Forward>,
     ) {
-        let tree: Arc<HashMap<NodeId, Vec<NodeId>>> = match &packet.state {
-            RoutingState::SourceTree(t) => Arc::clone(t),
-            _ => match &self.tree {
-                Some(t) => Arc::clone(t),
-                None => return, // no tree: all terminals stranded
-            },
+        // Only the source sees a packet without the tree: it builds the
+        // tree there and embeds it in every copy it sends.
+        let Some(tree) = (match &packet.state {
+            RoutingState::SourceTree(t) => Some(Arc::clone(t)),
+            _ => Self::source_tree(ctx, ctx.node, &packet.dests),
+        }) else {
+            return; // no tree: all terminals stranded
         };
-        let children = match tree.get(&ctx.node) {
-            Some(c) => c.clone(),
-            None => return,
+        let Some(children) = tree.get(&ctx.node).cloned() else {
+            return;
         };
         out.extend(children.into_iter().filter_map(|c| {
             let below = Self::dests_below(&tree, c, &packet.dests);

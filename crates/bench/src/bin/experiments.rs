@@ -854,7 +854,12 @@ fn run_service(args: &Args) {
                 "service: sharded 100k substrate, {sessions} sessions over {windows} windows, {workers} workers…"
             );
             points.push(sharded_service_point(
-                100_000, windows, sessions, seed, workers,
+                100_000,
+                windows,
+                sessions,
+                seed,
+                Some(&alloc_counter),
+                workers,
             ));
         }
     }
@@ -870,12 +875,12 @@ fn service_record(points: &[ServicePoint], cores: usize) -> Json {
     let mut workload = timed_workload("repeat-groups", "cold");
     workload.push("available_parallelism", cores);
     obj! {
-        "schema": "gmp-bench/5.1",
+        "schema": "gmp-bench/5.2",
         "workload": workload,
         "note": "sequential baseline = self-contained runs of the same sessions (fresh protocol + \
                  scratch each); every engine run starts from a cold decision cache; latency is \
                  admission to completion; speedup and parallel_scaling are ratios of legs timed in the \
-                 same trial (concurrent / sequential, threads / 1 worker); reports_match certifies \
+                 same trial (1 worker / sequential, threads / 1 worker); reports_match certifies \
                  every engine report bit-identical to its sequential twin",
         "points": points.iter().collect::<Json>(),
     }
@@ -1309,10 +1314,7 @@ mod tests {
             fault_crashes: 9,
             skipped_empty: 0,
             sequential_sessions_per_sec: spread(),
-            concurrent_sessions_per_sec: spread(),
             decisions_per_sec: spread(),
-            p50_latency_ms: spread(),
-            p99_latency_ms: spread(),
             threads: 2,
             parallel_sessions_per_sec: spread(),
             parallel_p50_latency_ms: spread(),
@@ -1326,7 +1328,7 @@ mod tests {
         };
         let r = service_record(&[point], 2);
         assert_eq!(keys(&r), ["schema", "workload", "note", "points"]);
-        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/5.1"));
+        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/5.2"));
         assert_labelled(&r);
         let Json::Arr(points) = field(&r, "points") else {
             panic!("points is not an array");
@@ -1336,10 +1338,7 @@ mod tests {
             p,
             &[
                 "sequential_sessions_per_sec",
-                "concurrent_sessions_per_sec",
                 "decisions_per_sec",
-                "p50_latency_ms",
-                "p99_latency_ms",
                 "parallel_sessions_per_sec",
                 "parallel_p50_latency_ms",
                 "parallel_p99_latency_ms",

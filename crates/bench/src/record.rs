@@ -386,10 +386,7 @@ impl From<&ServicePoint> for Json {
             "fault_crashes": p.fault_crashes,
             "skipped_empty": p.skipped_empty,
             "sequential_sessions_per_sec": p.sequential_sessions_per_sec,
-            "concurrent_sessions_per_sec": p.concurrent_sessions_per_sec,
             "decisions_per_sec": p.decisions_per_sec,
-            "p50_latency_ms": p.p50_latency_ms,
-            "p99_latency_ms": p.p99_latency_ms,
             "threads": p.threads,
             "parallel_sessions_per_sec": p.parallel_sessions_per_sec,
             "parallel_p50_latency_ms": p.parallel_p50_latency_ms,

@@ -11,40 +11,35 @@
 //!   back-to-back, each session as its own self-contained simulation
 //!   (fresh protocol, fresh scratch — the repo's per-task idiom used by
 //!   every figure sweep);
-//! * the **concurrent engine** interleaves all sessions over one shared
-//!   topology on a single thread, sharing the decision cache and pooled
-//!   scratch state; the `reports_match` flag certifies each session's
-//!   report is bit-identical to its sequential twin;
-//! * the **parallel engine** shards the event wheel across a worker
-//!   axis capped at the host's core count
-//!   ([`SessionEngine::run_parallel`]), every worker's
-//!   router backed by ONE shared [`ConcurrentTreeCache`] — so misses are
-//!   paid once fleet-wide instead of once per worker, and outcomes stay
-//!   bit-identical at every thread count (that is the per-point
-//!   `reports_match` certificate);
+//! * the **engine** ([`SessionEngine::run_parallel`]) interleaves the
+//!   sessions over one shared topology, pooled scratch state and ONE
+//!   shared [`ConcurrentTreeCache`], its event wheel sharded across a
+//!   worker axis capped at the host's core count — so misses are paid
+//!   once fleet-wide instead of once per worker. The 1-worker leg is the
+//!   single-threaded engine (it also pays the thread spawn); the
+//!   per-point `reports_match` flag certifies every report bit-identical
+//!   to its sequential twin at every thread count;
 //! * fault wiring follows the cache-sharing determinism rule: crashes are
 //!   *timed* events (identical alive vectors for every session, so cache
 //!   keys stay shared) surfaced to the membership service as crash-derived
 //!   leaves after a detection delay.
 //!
 //! Session latency is wall-clock admission → completion of the engine's
-//! as-fast-as-possible loop, not simulated service time; the parallel
-//! percentiles expose the latency cost of sharing a core budget across
-//! workers.
+//! as-fast-as-possible loop, not simulated service time; the percentiles
+//! across the worker axis expose the latency cost of sharing a core
+//! budget across workers.
 //!
 //! Every leg starts from a cold decision cache, and every timed figure is
 //! a [`Spread`] over [`crate::record::TRIALS`] trials. One trial times
 //! every leg back to back, so `speedup` and `parallel_scaling` are ratios
-//! of legs timed in the *same* trial: concurrent over sequential, and
+//! of legs timed in the *same* trial: one worker over sequential, and
 //! `threads` workers over one worker.
 
 use std::sync::Arc;
 
 use gmp_core::{CacheConfig, CacheStats, ConcurrentTreeCache, GmpRouter};
 use gmp_net::{NodeId, ShardConfig, ShardedTopology, Topology};
-use gmp_service::{
-    EngineProtocol, ParallelProtocol, ServiceRun, ServiceWorkload, SessionEngine, WorkloadParams,
-};
+use gmp_service::{ParallelProtocol, ServiceRun, ServiceWorkload, SessionEngine, WorkloadParams};
 use gmp_sim::{FaultPlan, Protocol, RegionSim, SimConfig, TaskReport, TaskRunner};
 
 use crate::record::{rate, trials, Spread};
@@ -73,24 +68,19 @@ pub struct ServicePoint {
     pub skipped_empty: usize,
     /// Sequential sessions per second.
     pub sequential_sessions_per_sec: Spread,
-    /// Single-thread concurrent engine sessions per second.
-    pub concurrent_sessions_per_sec: Spread,
-    /// Routing decisions per second through the concurrent engine.
+    /// Routing decisions per second through the 1-worker engine.
     pub decisions_per_sec: Spread,
-    /// Median session latency (admission → completion) of the
-    /// single-thread concurrent engine, milliseconds.
-    pub p50_latency_ms: Spread,
-    /// 99th-percentile concurrent session latency, milliseconds.
-    pub p99_latency_ms: Spread,
-    /// Worker threads driving the sharded parallel engine at this point.
+    /// Worker threads driving the engine at this point.
     pub threads: usize,
-    /// Parallel sessions per second.
+    /// Engine sessions per second at `threads` workers.
     pub parallel_sessions_per_sec: Spread,
-    /// Median parallel session latency, milliseconds.
+    /// Median session latency (admission → completion) at `threads`
+    /// workers, milliseconds.
     pub parallel_p50_latency_ms: Spread,
-    /// 99th-percentile parallel session latency, milliseconds.
+    /// 99th-percentile session latency at `threads` workers,
+    /// milliseconds.
     pub parallel_p99_latency_ms: Spread,
-    /// Concurrent vs sequential throughput, per trial.
+    /// 1-worker engine vs sequential throughput, per trial.
     pub speedup: Spread,
     /// `threads`-worker vs 1-worker parallel throughput, per trial — the
     /// core-scaling curve's y-axis.
@@ -104,8 +94,8 @@ pub struct ServicePoint {
     /// Statistics of the [`ConcurrentTreeCache`]s shared by this point's
     /// workers over one cold run, summed across windows.
     pub cache: CacheStats,
-    /// Whether every concurrent and parallel report was bit-identical to
-    /// its sequential twin.
+    /// Whether every engine report at this point was bit-identical to its
+    /// sequential twin.
     pub reports_match: bool,
 }
 
@@ -177,19 +167,6 @@ fn sequential(windows: &[Window]) -> Vec<Vec<Option<TaskReport>>> {
         .collect()
 }
 
-/// The single-thread concurrent engine over each window in turn, each
-/// from a cold router.
-fn concurrent(windows: &[Window]) -> Vec<ServiceRun> {
-    windows
-        .iter()
-        .map(|w| {
-            let mut router = GmpRouter::new();
-            SessionEngine::new(w.topo, &w.config)
-                .run(EngineProtocol::Shared(&mut router), &w.workload)
-        })
-        .collect()
-}
-
 /// A `Sync` router factory whose products all share `cache` — what every
 /// parallel worker constructs its protocol from.
 fn shared_router_factory(cache: Arc<ConcurrentTreeCache>) -> impl Fn() -> Box<dyn Protocol> + Sync {
@@ -200,7 +177,7 @@ fn cold_cache() -> Arc<ConcurrentTreeCache> {
     Arc::new(ConcurrentTreeCache::with_config(CacheConfig::default()))
 }
 
-/// The parallel engine over each window in turn, its wheel sharded across
+/// The engine over each window in turn, its wheel sharded across
 /// `threads` workers over one cold per-window cache (windows are distinct
 /// topologies). Returns the runs and the caches' summed statistics.
 fn parallel(windows: &[Window], threads: usize) -> (Vec<ServiceRun>, CacheStats) {
@@ -269,8 +246,7 @@ fn time_leg(mut pass: impl FnMut() -> Vec<ServiceRun>) -> Leg {
 #[derive(Debug)]
 struct Trial {
     sequential: f64,
-    concurrent: Leg,
-    /// One leg per entry of the worker list (1 worker first).
+    /// One engine leg per entry of the worker list (1 worker first).
     parallel: Vec<Leg>,
 }
 
@@ -320,10 +296,9 @@ fn alloc_profile(
 }
 
 /// Measures the service over `windows`, one [`ServicePoint`] per entry of
-/// `threads_axis`. The sequential, concurrent and 1-worker parallel legs
-/// run in every trial whatever the axis; the certificates (report
-/// parity, cache statistics, allocation profile) come from separate
-/// untimed cold runs.
+/// `threads_axis`. The sequential and 1-worker engine legs run in every
+/// trial whatever the axis; the certificates (report parity, cache
+/// statistics, allocation profile) come from separate untimed cold runs.
 fn measure_service(
     topology: &str,
     nodes: usize,
@@ -333,15 +308,6 @@ fn measure_service(
 ) -> Vec<ServicePoint> {
     let seq = sequential(windows);
     let sessions = seq.iter().flatten().filter(|r| r.is_some()).count();
-    let conc = concurrent(windows);
-    let conc_match = runs_match(&conc, &seq);
-    assert_eq!(
-        completed(&conc),
-        sessions,
-        "engine and baseline disagree on session count"
-    );
-    let decisions_per_session =
-        conc.iter().map(|r| r.decisions).sum::<usize>() as f64 / sessions.max(1) as f64;
 
     let mut workers = vec![1];
     workers.extend_from_slice(threads_axis);
@@ -352,7 +318,6 @@ fn measure_service(
             let seq = sequential(windows);
             seq.iter().flatten().filter(|r| r.is_some()).count()
         }),
-        concurrent: time_leg(|| concurrent(windows)),
         parallel: workers
             .iter()
             .map(|&threads| time_leg(|| parallel(windows, threads).0))
@@ -366,7 +331,15 @@ fn measure_service(
                 .binary_search(&threads)
                 .expect("axis entry in worker list");
             let (par, cache) = parallel(windows, threads);
-            assert_eq!(completed(&par), sessions, "parallel leg lost sessions");
+            assert_eq!(
+                completed(&par),
+                sessions,
+                "engine and baseline disagree on session count"
+            );
+            // Decisions are a pure function of the sessions, so the count
+            // is the same at every worker count.
+            let decisions_per_session =
+                par.iter().map(|r| r.decisions).sum::<usize>() as f64 / sessions.max(1) as f64;
             let (allocs_per_session, steady_alloc_drift) = alloc_counter
                 .map(|count| alloc_profile(windows, threads, count, sessions))
                 .unzip();
@@ -377,26 +350,23 @@ fn measure_service(
                 groups: windows.iter().map(|w| w.workload.groups.len()).sum(),
                 membership_updates: windows.iter().map(|w| w.workload.updates.len()).sum(),
                 fault_crashes: windows.iter().map(|w| w.crashes).sum(),
-                skipped_empty: conc.iter().map(|r| r.skipped_empty).sum(),
+                skipped_empty: par.iter().map(|r| r.skipped_empty).sum(),
                 sequential_sessions_per_sec: Spread::over(&runs, |t| t.sequential),
-                concurrent_sessions_per_sec: Spread::over(&runs, |t| t.concurrent.per_sec),
                 decisions_per_sec: Spread::over(&runs, |t| {
-                    t.concurrent.per_sec * decisions_per_session
+                    t.parallel[0].per_sec * decisions_per_session
                 }),
-                p50_latency_ms: Spread::over(&runs, |t| t.concurrent.p50_ms),
-                p99_latency_ms: Spread::over(&runs, |t| t.concurrent.p99_ms),
                 threads,
                 parallel_sessions_per_sec: Spread::over(&runs, |t| t.parallel[i].per_sec),
                 parallel_p50_latency_ms: Spread::over(&runs, |t| t.parallel[i].p50_ms),
                 parallel_p99_latency_ms: Spread::over(&runs, |t| t.parallel[i].p99_ms),
-                speedup: Spread::over(&runs, |t| t.concurrent.per_sec / t.sequential),
+                speedup: Spread::over(&runs, |t| t.parallel[0].per_sec / t.sequential),
                 parallel_scaling: Spread::over(&runs, |t| {
                     t.parallel[i].per_sec / t.parallel[0].per_sec
                 }),
                 allocs_per_session,
                 steady_alloc_drift,
                 cache,
-                reports_match: conc_match && runs_match(&par, &seq),
+                reports_match: runs_match(&par, &seq),
             }
         })
         .collect()
@@ -444,6 +414,7 @@ pub fn sharded_service_point(
     windows: usize,
     sessions_total: usize,
     seed: u64,
+    alloc_counter: Option<&dyn Fn() -> usize>,
     threads: usize,
 ) -> ServicePoint {
     let shard_config = ShardConfig::paper_density(total_nodes, RADIO_RANGE);
@@ -473,7 +444,7 @@ pub fn sharded_service_point(
         })
         .collect();
     let label = format!("sharded-{}k", total_nodes / 1000);
-    measure_service(&label, total_nodes, &windows, &[threads], None)
+    measure_service(&label, total_nodes, &windows, &[threads], alloc_counter)
         .pop()
         .expect("one point per axis entry")
 }
@@ -511,8 +482,8 @@ mod tests {
         }
         assert_eq!(points[0].threads, 1);
         assert_eq!(points[1].threads, 2);
-        // The sequential/concurrent legs are shared across the curve, and
-        // the 1-worker point is its own scaling reference.
+        // The sequential and 1-worker legs are shared across the curve,
+        // and the 1-worker point is its own scaling reference.
         assert_eq!(
             points[0].sequential_sessions_per_sec,
             points[1].sequential_sessions_per_sec
@@ -523,7 +494,7 @@ mod tests {
             for s in [
                 p.sequential_sessions_per_sec,
                 p.parallel_scaling,
-                p.p99_latency_ms,
+                p.parallel_p99_latency_ms,
             ] {
                 assert_eq!(s.trials, crate::record::TRIALS);
                 assert!(s.min <= s.median && s.median <= s.max, "{s:?}");

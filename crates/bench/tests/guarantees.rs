@@ -24,7 +24,9 @@ use gmp_baselines::{GvgRouter, McfrRouter};
 use gmp_geom::Point;
 use gmp_net::topology::{Hole, Topology, TopologyConfig};
 use gmp_net::NodeId;
-use gmp_service::{EngineProtocol, ServiceConfig, ServiceWorkload, SessionEngine, WorkloadParams};
+use gmp_service::{
+    ParallelProtocol, ServiceConfig, ServiceWorkload, SessionEngine, WorkloadParams,
+};
 use gmp_sim::{FaultPlan, FaultRegion, MulticastTask, Protocol, SimConfig, TaskRunner};
 use proptest::prelude::*;
 
@@ -205,8 +207,9 @@ proptest! {
             &config,
             ServiceConfig { max_in_flight: capacity },
         );
-        let mut shared = guaranteed(proto);
-        let run = engine.run(EngineProtocol::Shared(shared.as_mut()), &workload);
+        let make = move || guaranteed(proto);
+        let name = make().name();
+        let run = engine.run_parallel(ParallelProtocol::PerWorker(&make), &workload, 1);
         prop_assert!(!run.outcomes.is_empty(), "workload produced no sessions");
 
         let runner = TaskRunner::new(&topo, &config);
@@ -215,7 +218,7 @@ proptest! {
                 outcome.report.unjustified_failures().count(),
                 0,
                 "{} session {} failed unjustified: {:?}",
-                shared.name(),
+                name,
                 outcome.id,
                 outcome.report.failed_dests
             );
@@ -226,7 +229,7 @@ proptest! {
                 &outcome.report,
                 &report,
                 "{} session {} diverged from solo (capacity {})",
-                shared.name(),
+                name,
                 outcome.id,
                 capacity
             );

@@ -4,14 +4,16 @@
 //!
 //! The harness generates a random service workload (groups, live
 //! membership churn, crash-derived leaves, session arrivals), runs it
-//! through [`gmp_service::SessionEngine`] — interleaved over one shared
-//! topology, shared decision cache, pooled scratch — and then replays
-//! every completed session solo through [`TaskRunner::run_seeded`] with a
-//! fresh protocol instance. Any divergence means engine interleaving
-//! leaked state between sessions. The sweep crosses topology seeds,
-//! admission capacities, fault/churn plans, and the protocol sharing
-//! modes (GMP and LGS shared, SMT per-session — SMT keeps per-task state,
-//! which is exactly what `EngineProtocol::PerSession` exists for).
+//! through [`gmp_service::SessionEngine::run_parallel`] on one and on two
+//! workers — interleaved over one shared topology, shared decision
+//! cache, pooled scratch — and then replays every completed session solo
+//! through [`TaskRunner::run_seeded`] with a fresh protocol instance. Any
+//! divergence means engine interleaving leaked state between sessions.
+//! The sweep crosses topology seeds, admission capacities, fault/churn
+//! plans, and the protocol sharing modes (GMP, LGS and SMT shared per
+//! worker; DSM per-session — DSM keeps its source's tree as per-task
+//! state, which is exactly what `ParallelProtocol::PerSession` exists
+//! for).
 //!
 //! This suite rides next to `sim_parity` and `cache_parity` in CI: all
 //! three pin the bit-exactness contracts the benches' speedups rely on.
@@ -19,12 +21,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gmp_baselines::{LgsRouter, SmtRouter};
+use gmp_baselines::{DsmRouter, LgsRouter, SmtRouter};
 use gmp_core::{CacheConfig, ConcurrentTreeCache, GmpRouter};
 use gmp_net::{NodeId, Topology};
 use gmp_service::{
-    EngineProtocol, ParallelProtocol, ServiceConfig, ServiceRun, ServiceWorkload, SessionEngine,
-    WorkloadParams,
+    ParallelProtocol, ServiceConfig, ServiceRun, ServiceWorkload, SessionEngine, WorkloadParams,
 };
 use gmp_sim::{FaultPlan, Protocol, SimConfig, TaskRunner};
 use proptest::prelude::*;
@@ -32,13 +33,14 @@ use proptest::prelude::*;
 /// A fresh-protocol-instance constructor.
 type ProtocolFactory = fn() -> Box<dyn Protocol>;
 
-/// The protocol modes under test: name, whether the engine may share one
-/// instance across sessions, and a fresh-instance factory.
+/// The protocol modes under test: name, whether a worker may share one
+/// instance across its sessions, and a fresh-instance factory.
 fn factory(mode: usize) -> (&'static str, bool, ProtocolFactory) {
     match mode {
         0 => ("gmp", true, || Box::new(GmpRouter::new())),
         1 => ("lgs", true, || Box::new(LgsRouter::new())),
-        _ => ("smt", false, || Box::new(SmtRouter::new())),
+        2 => ("smt", true, || Box::new(SmtRouter::new())),
+        _ => ("dsm", false, || Box::new(DsmRouter::new())),
     }
 }
 
@@ -73,7 +75,7 @@ proptest! {
     fn every_concurrent_session_matches_its_solo_run(
         topo_seed in 0u64..6,
         workload_seed in 0u64..u64::MAX,
-        mode in 0usize..3,
+        mode in 0usize..4,
         plan_variant in 0usize..3,
         capacity in 1usize..48,
     ) {
@@ -96,41 +98,57 @@ proptest! {
         let workload = ServiceWorkload::random(&candidates, &params, &plan, workload_seed);
 
         let (name, shared, fresh) = factory(mode);
-        let mut engine = SessionEngine::with_service(
-            &topo,
-            &config,
-            ServiceConfig { max_in_flight: capacity },
-        );
-        let run = if shared {
-            let mut protocol = fresh();
-            engine.run(EngineProtocol::Shared(protocol.as_mut()), &workload)
+        let protocol = if shared {
+            ParallelProtocol::PerWorker(&fresh)
         } else {
-            let mut make = fresh;
-            let mut boxed_factory = move || make();
-            engine.run(EngineProtocol::PerSession(&mut boxed_factory), &workload)
+            ParallelProtocol::PerSession(&fresh)
         };
-        prop_assert!(!run.outcomes.is_empty(), "workload produced no sessions");
-        prop_assert_eq!(
-            run.outcomes.len() + run.skipped_empty,
-            workload.sessions.len()
-        );
-
-        // Solo replay: a fresh protocol and runner per session — any
-        // difference is state leaked through the engine's sharing.
         let runner = TaskRunner::new(&topo, &config);
-        for outcome in &run.outcomes {
-            let mut solo = fresh();
-            let report = runner.run_seeded(solo.as_mut(), &outcome.task, outcome.seed);
-            prop_assert_eq!(
-                &outcome.report,
-                &report,
-                "{} session {} (capacity {}, plan {}) diverged from solo",
-                name,
-                outcome.id,
-                capacity,
-                plan_variant
+        let mut solo_reports = Vec::new();
+        let mut first: Option<ServiceRun> = None;
+        for threads in [1usize, 2] {
+            let mut engine = SessionEngine::with_service(
+                &topo,
+                &config,
+                ServiceConfig { max_in_flight: capacity },
             );
+            let run = engine.run_parallel(protocol, &workload, threads);
+            prop_assert!(!run.outcomes.is_empty(), "workload produced no sessions");
+            prop_assert_eq!(
+                run.outcomes.len() + run.skipped_empty,
+                workload.sessions.len()
+            );
+            if solo_reports.is_empty() {
+                // Solo replay: a fresh protocol and runner per session —
+                // any difference is state leaked through the engine's
+                // sharing.
+                for outcome in &run.outcomes {
+                    let mut solo = fresh();
+                    solo_reports.push(runner.run_seeded(solo.as_mut(), &outcome.task, outcome.seed));
+                }
+            }
+            prop_assert_eq!(run.outcomes.len(), solo_reports.len());
+            for (outcome, report) in run.outcomes.iter().zip(&solo_reports) {
+                prop_assert_eq!(
+                    &outcome.report,
+                    report,
+                    "{} session {} (capacity {}, plan {}, {} workers) diverged from solo",
+                    name,
+                    outcome.id,
+                    capacity,
+                    plan_variant,
+                    threads
+                );
+            }
+            if let Some(base) = &first {
+                for (a, b) in run.outcomes.iter().zip(&base.outcomes) {
+                    prop_assert_eq!(a.id, b.id);
+                    prop_assert_eq!(&a.task, &b.task);
+                }
+            }
+            first.get_or_insert(run);
         }
+        let run = first.expect("the 1-worker run");
 
         // And the snapshot the engine took matches the engine-independent
         // resolution of the same workload.

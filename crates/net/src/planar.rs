@@ -40,68 +40,43 @@ pub enum PlanarKind {
 /// This is what [`Topology::planar_neighbors`] caches.
 pub fn planarize(topo: &Topology, kind: PlanarKind) -> Csr<NodeId> {
     let mut csr = Csr::with_capacity(topo.len(), topo.len() * 4);
+    let mut row = Vec::new();
     for i in 0..topo.len() {
-        let u = NodeId(i as u32);
-        csr.push_row(local_planar_neighbors(topo, u, kind));
+        live_planar_neighbors_into(topo, NodeId(i as u32), kind, None, &mut row);
+        csr.push_row(row.iter().copied());
     }
     csr
 }
 
-/// Computes the planarized neighbor list of a single node using only its
-/// own neighbor table — the operation an actual sensor node would run.
-pub fn local_planar_neighbors(topo: &Topology, u: NodeId, kind: PlanarKind) -> Vec<NodeId> {
-    let pu = topo.pos(u);
-    let neigh = topo.neighbors(u);
-    let mut kept = Vec::new();
-    'edges: for &v in neigh {
-        let pv = topo.pos(v);
-        for &w in neigh {
-            if w == v {
-                continue;
-            }
-            let pw = topo.pos(w);
-            let blocked = match kind {
-                PlanarKind::Gabriel => in_diametral_disk(pw, pu, pv),
-                PlanarKind::RelativeNeighborhood => in_lune(pw, pu, pv),
-            };
-            if blocked {
-                continue 'edges;
-            }
-        }
-        kept.push(v);
-    }
-    kept
-}
-
-/// Computes the planar neighbor list of `u` within the *live* subgraph:
-/// dead neighbors are dropped, and — just as important — dead nodes no
-/// longer act as witnesses, so an edge a dead witness used to suppress is
+/// Computes the planar neighbor list of `u` using only its own neighbor
+/// table — the operation an actual sensor node would run. Writes into
+/// `out` (cleared first) so per-hop calls allocate nothing after warm-up.
+///
+/// With `alive = Some(mask)` this planarizes the *live* subgraph: dead
+/// neighbors are dropped, and — just as important — dead nodes no longer
+/// act as witnesses, so an edge a dead witness used to suppress is
 /// revived. Face traversal over a faulted network must use this (the
 /// cached full-topology planarization can disconnect the live subgraph).
-///
-/// With an all-true mask this produces exactly
-/// [`local_planar_neighbors`] — same iteration order, same predicates —
-/// which the determinism parity suites rely on.
-///
-/// Writes into `out` (cleared first) so per-hop calls allocate nothing
-/// after warm-up.
+/// An all-true mask produces exactly the `None` row — same iteration
+/// order, same predicates — which the determinism parity suites rely on.
 pub fn live_planar_neighbors_into(
     topo: &Topology,
     u: NodeId,
     kind: PlanarKind,
-    alive: &[bool],
+    alive: Option<&[bool]>,
     out: &mut Vec<NodeId>,
 ) {
     out.clear();
+    let live = |n: NodeId| alive.is_none_or(|mask| mask[n.index()]);
     let pu = topo.pos(u);
     let neigh = topo.neighbors(u);
     'edges: for &v in neigh {
-        if !alive[v.index()] {
+        if !live(v) {
             continue;
         }
         let pv = topo.pos(v);
         for &w in neigh {
-            if w == v || !alive[w.index()] {
+            if w == v || !live(w) {
                 continue;
             }
             let pw = topo.pos(w);
@@ -219,16 +194,6 @@ mod tests {
                 }
                 assert_eq!(count, topo.len(), "{kind:?} disconnected the graph");
             }
-        }
-    }
-
-    #[test]
-    fn local_and_global_planarization_agree() {
-        let topo = random_topo(24);
-        let global = planarize(&topo, PlanarKind::Gabriel);
-        for i in (0..topo.len()).step_by(10) {
-            let local = local_planar_neighbors(&topo, NodeId(i as u32), PlanarKind::Gabriel);
-            assert_eq!(local.as_slice(), global.row(i));
         }
     }
 
@@ -411,14 +376,11 @@ mod tests {
         let alive = vec![true; topo.len()];
         let mut buf = Vec::new();
         for kind in [PlanarKind::Gabriel, PlanarKind::RelativeNeighborhood] {
+            let global = planarize(&topo, kind);
             for i in 0..topo.len() {
                 let u = NodeId(i as u32);
-                live_planar_neighbors_into(&topo, u, kind, &alive, &mut buf);
-                assert_eq!(
-                    buf.as_slice(),
-                    local_planar_neighbors(&topo, u, kind).as_slice(),
-                    "node {i} {kind:?}"
-                );
+                live_planar_neighbors_into(&topo, u, kind, Some(&alive), &mut buf);
+                assert_eq!(buf.as_slice(), global.row(i), "node {i} {kind:?}");
             }
         }
     }
@@ -460,7 +422,7 @@ mod tests {
                 &topo,
                 NodeId(u as u32),
                 PlanarKind::Gabriel,
-                &alive,
+                Some(&alive),
                 &mut buf,
             );
             buf.iter().map(|n| n.index()).collect()

@@ -118,13 +118,11 @@ impl FaceScratch {
         alive: Option<&[bool]>,
         u: NodeId,
     ) -> &'a [NodeId] {
-        match alive {
-            None => topo.planar_neighbors(kind, u),
-            Some(mask) => {
-                live_planar_neighbors_into(topo, u, kind, mask, &mut self.buf);
-                &self.buf
-            }
+        if alive.is_none() {
+            return topo.planar_neighbors(kind, u);
         }
+        live_planar_neighbors_into(topo, u, kind, alive, &mut self.buf);
+        &self.buf
     }
 }
 

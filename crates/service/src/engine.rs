@@ -34,10 +34,11 @@
 //! copy of the wheel loop, with a private [`MembershipClock`] replay
 //! (the strided subset stays sorted by `start_s`, so replay yields the
 //! same snapshots the global clock would), private scratch, and a
-//! per-worker or per-session protocol. Because each session's outcome
-//! is a pure function of `(task, seed)` — the solo-parity invariant
-//! above — the partition cannot change any report; results merge by
-//! session id into the same order `run` produces. The partition is
+//! per-worker or per-session protocol. One worker is the same loop on
+//! one spawned thread. Because each session's outcome is a pure function
+//! of `(task, seed)` — the solo-parity invariant above — the partition
+//! cannot change any report; results merge by session id, so the output
+//! is the same at every worker count. The partition is
 //! *static* rather than work-stealing: a racy claim order would let OS
 //! scheduling decide which worker's scratch grows to which high-water
 //! mark, breaking the steady-state zero-allocation certificate that
@@ -66,43 +67,25 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How the engine obtains a routing protocol for each session.
-///
-/// Stateless-per-task protocols (GMP and all baselines except SMT/DSM)
-/// can share one instance across every session — the caller keeps
-/// ownership, so e.g. a `GmpRouter`'s cache statistics remain readable
-/// after the run. Task-stateful protocols get a fresh instance per
-/// session from the factory.
-pub enum EngineProtocol<'p> {
-    /// One protocol instance shared by every session.
-    Shared(&'p mut dyn Protocol),
-    /// A factory producing one fresh instance per session.
-    PerSession(&'p mut dyn FnMut() -> Box<dyn Protocol>),
-}
-
-impl std::fmt::Debug for EngineProtocol<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            EngineProtocol::Shared(_) => f.write_str("EngineProtocol::Shared"),
-            EngineProtocol::PerSession(_) => f.write_str("EngineProtocol::PerSession"),
-        }
-    }
-}
-
 /// How [`SessionEngine::run_parallel`] workers obtain protocols.
 ///
 /// [`Protocol`] has no `Send` bound, so instances cannot cross threads;
 /// instead a `Sync` factory is shared and every instance is constructed
 /// inside the worker that will use it. To share one decision cache
 /// across workers, close over an `Arc<gmp_core::ConcurrentTreeCache>`
-/// and hand each router a clone of the handle.
+/// and hand each router a clone of the handle — the handle also keeps
+/// the cache statistics readable after the run.
+///
+/// Protocols that keep no per-task state (GMP, SMT and every other
+/// baseline except DSM) can serve all of a worker's sessions from one
+/// instance. Two keep per-task state and need a fresh instance per
+/// session: DSM (the logical tree its source builds) and `GmpGeocast`
+/// (its duplicate-suppression `seen` table).
 #[derive(Clone, Copy)]
 pub enum ParallelProtocol<'p> {
-    /// One fresh instance per worker, shared by that worker's sessions
-    /// (the parallel analogue of [`EngineProtocol::Shared`]).
+    /// One fresh instance per worker, shared by that worker's sessions.
     PerWorker(&'p (dyn Fn() -> Box<dyn Protocol> + Sync)),
-    /// A fresh instance per session (for task-stateful protocols, the
-    /// analogue of [`EngineProtocol::PerSession`]).
+    /// A fresh instance per session (for task-stateful protocols).
     PerSession(&'p (dyn Fn() -> Box<dyn Protocol> + Sync)),
 }
 
@@ -167,7 +150,7 @@ struct Active<'a> {
     task: MulticastTask,
     session: Session<'a>,
     /// `Some` when the protocol is per-session; `None` means step with
-    /// the shared instance.
+    /// the worker's instance.
     protocol: Option<Box<dyn Protocol>>,
     admitted: Instant,
 }
@@ -204,10 +187,11 @@ impl Ord for WheelEntry {
 
 /// Drives many multicast sessions over one shared topology.
 ///
-/// The engine owns a scratch pool that persists across [`run`] calls, so
-/// a warmed engine admits sessions without allocating new scratch state.
+/// The engine owns a scratch pool that persists across
+/// [`run_parallel`] calls, so a warmed engine admits sessions without
+/// allocating new scratch state.
 ///
-/// [`run`]: SessionEngine::run
+/// [`run_parallel`]: SessionEngine::run_parallel
 #[derive(Debug)]
 pub struct SessionEngine<'a> {
     topo: &'a Topology,
@@ -236,33 +220,16 @@ impl<'a> SessionEngine<'a> {
         }
     }
 
-    /// Runs every session of `workload` to completion, interleaved.
+    /// Runs every session of `workload` to completion, the event wheel
+    /// sharded over `threads` worker threads (see the module docs,
+    /// *Parallel execution*); `threads = 1` runs it on one worker.
     ///
     /// Returns one [`SessionOutcome`] per non-empty session, sorted by
-    /// session id.
-    pub fn run(&mut self, protocol: EngineProtocol<'_>, workload: &ServiceWorkload) -> ServiceRun {
-        let mut run = run_shard(
-            self.topo,
-            self.config,
-            self.service.max_in_flight,
-            protocol,
-            workload,
-            &workload.sessions,
-            &mut self.pool,
-        );
-        run.outcomes.sort_by_key(|o| o.id);
-        run
-    }
-
-    /// [`run`](SessionEngine::run) sharded over `threads` worker
-    /// threads (see the module docs, *Parallel execution*).
-    ///
-    /// Every session's report is bit-identical to what `run` — or a
-    /// solo [`TaskRunner::run_seeded`] — produces, independent of
-    /// `threads`; the outcomes are returned in the same id order. The
+    /// session id. Every session's report is bit-identical to a solo
+    /// [`TaskRunner::run_seeded`], independent of `threads`. The
     /// engine's scratch pool is split round-robin across workers and
-    /// re-collected afterwards, so a warmed engine stays warm across
-    /// parallel runs at the same worker count.
+    /// re-collected afterwards, so a warmed engine stays warm across runs
+    /// at the same worker count.
     pub fn run_parallel(
         &mut self,
         protocol: ParallelProtocol<'_>,
@@ -286,43 +253,15 @@ impl<'a> SessionEngine<'a> {
 
         let topo = self.topo;
         let config = self.config;
-        let factory: &(dyn Fn() -> Box<dyn Protocol> + Sync) = match protocol {
-            ParallelProtocol::PerWorker(f) | ParallelProtocol::PerSession(f) => f,
-        };
-        let per_session = matches!(protocol, ParallelProtocol::PerSession(_));
-
         let mut results: Vec<(ServiceRun, Vec<SimScratch>)> = std::thread::scope(|scope| {
             let handles: Vec<_> = shards
                 .iter()
                 .zip(pools)
                 .map(|(shard, mut pool)| {
                     scope.spawn(move || {
-                        // Protocols are created inside the worker:
-                        // `Protocol` is not `Send`, only the factory
-                        // crosses threads.
-                        let run = if per_session {
-                            let mut make = || factory();
-                            run_shard(
-                                topo,
-                                config,
-                                per_worker,
-                                EngineProtocol::PerSession(&mut make),
-                                workload,
-                                shard,
-                                &mut pool,
-                            )
-                        } else {
-                            let mut own = factory();
-                            run_shard(
-                                topo,
-                                config,
-                                per_worker,
-                                EngineProtocol::Shared(own.as_mut()),
-                                workload,
-                                shard,
-                                &mut pool,
-                            )
-                        };
+                        let run = run_shard(
+                            topo, config, per_worker, protocol, workload, shard, &mut pool,
+                        );
                         (run, pool)
                     })
                 })
@@ -355,9 +294,11 @@ impl<'a> SessionEngine<'a> {
 
 /// Runs one shard of session specs through the event-wheel loop.
 ///
-/// This is the whole engine for a single thread: [`SessionEngine::run`]
-/// calls it with every spec, [`SessionEngine::run_parallel`] with each
-/// worker's strided subset. `specs` must be sorted by `start_s` (any
+/// This is the whole engine for a single thread:
+/// [`SessionEngine::run_parallel`] calls it on each worker with that
+/// worker's strided subset. Protocols are created here, inside the
+/// worker: `Protocol` is not `Send`, only the factory crosses threads.
+/// `specs` must be sorted by `start_s` (any
 /// subsequence of a workload's session list is), so the shard-local
 /// [`MembershipClock`] replay snapshots exactly what the global clock
 /// would. Outcomes are returned in completion order.
@@ -365,12 +306,17 @@ fn run_shard<'a>(
     topo: &'a Topology,
     config: &'a SimConfig,
     max_in_flight: usize,
-    mut protocol: EngineProtocol<'_>,
+    protocol: ParallelProtocol<'_>,
     workload: &ServiceWorkload,
     specs: &[SessionSpec],
     pool: &mut Vec<SimScratch>,
 ) -> ServiceRun {
     let runner = TaskRunner::new(topo, config);
+    let (factory, per_session) = match protocol {
+        ParallelProtocol::PerWorker(f) => (f, false),
+        ParallelProtocol::PerSession(f) => (f, true),
+    };
+    let mut worker = (!per_session).then(factory);
     let mut clock = MembershipClock::new();
     let mut dests: Vec<NodeId> = Vec::new();
 
@@ -412,14 +358,9 @@ fn run_shard<'a>(
                 }
                 None => SimScratch::new(),
             };
-            let mut own = match &mut protocol {
-                EngineProtocol::Shared(_) => None,
-                EngineProtocol::PerSession(factory) => Some(factory()),
-            };
-            let session = {
-                let p = borrow_protocol(&mut protocol, &mut own);
-                Session::begin(runner, p, &task, spec.seed, scratch)
-            };
+            let mut own = per_session.then(factory);
+            let p = pick(&mut own, &mut worker);
+            let session = Session::begin(runner, p, &task, spec.seed, scratch);
             let active = Active {
                 id: spec.id,
                 group: spec.group,
@@ -479,8 +420,7 @@ fn run_shard<'a>(
             let active = slots[head.slot]
                 .as_mut()
                 .expect("wheel entry points at a live session");
-            let p = borrow_protocol(&mut protocol, &mut active.protocol);
-            active.session.step(p);
+            active.session.step(pick(&mut active.protocol, &mut worker));
         }
         let next = slots[head.slot]
             .as_ref()
@@ -517,21 +457,15 @@ fn run_shard<'a>(
     }
 }
 
-/// The protocol a session steps with: its own boxed instance when
-/// per-session, the shared instance otherwise.
-fn borrow_protocol<'s>(
-    protocol: &'s mut EngineProtocol<'_>,
+/// The protocol a session steps with: its own instance when
+/// per-session, the worker's otherwise.
+fn pick<'s>(
     own: &'s mut Option<Box<dyn Protocol>>,
+    worker: &'s mut Option<Box<dyn Protocol>>,
 ) -> &'s mut dyn Protocol {
-    if let Some(boxed) = own {
-        return boxed.as_mut();
-    }
-    match protocol {
-        EngineProtocol::Shared(shared) => &mut **shared,
-        EngineProtocol::PerSession(_) => {
-            unreachable!("per-session engines always carry an owned protocol")
-        }
-    }
+    own.as_deref_mut()
+        .or(worker.as_deref_mut())
+        .expect("a session has its own protocol or its worker's")
 }
 
 /// Completes the session in `slot`: folds its report, recycles its

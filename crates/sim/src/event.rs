@@ -115,8 +115,7 @@ impl EventQueue {
     }
 
     /// Timestamp of the earliest pending event, without popping it.
-    /// Lets the runner detect equal-time batches for the staged
-    /// decision pass.
+    /// Lets the runner detect the end of an equal-time batch.
     pub fn peek_time(&self) -> Option<f64> {
         self.heap.peek().map(|s| s.time)
     }

@@ -2,8 +2,8 @@
 //!
 //! The loop is written for task throughput: every figure in the paper is an
 //! average over thousands of simulated tasks, so the per-task constant
-//! matters as much as the per-decision constant. Two structural choices
-//! carry that:
+//! matters as much as the per-decision constant. Three structural
+//! choices carry that:
 //!
 //! * **Pruned collision bookkeeping.** Past transmissions are kept in
 //!   [`OnAir`], a min-heap ordered by the time each transmission leaves the
@@ -16,18 +16,10 @@
 //! * **Reused buffers.** [`SimScratch`] owns the event queue, the collision
 //!   heap, the liveness/pending tables, and the forward buffer; a warmed
 //!   scratch runs whole tasks without allocating in the loop itself.
-//! * **Staged decision pass.** When the configuration draws no RNG between
-//!   a pop and its forwards (collisions off, zero jitter — the paper's
-//!   default), each batch of equal-time deliveries is split into a
-//!   fault-filter pass (liveness checks, loss draws — everything that
-//!   touches the RNG or the fault state, in pop order) and a decision pass
-//!   that replays the batch in the same pop order doing the delivery
-//!   bookkeeping, routing decisions, and dispatch back-to-back. The
-//!   decision pass runs the protocol's Steiner-tree machinery (and the
-//!   GMP decision cache) cache-warm instead of interleaved with fault
-//!   bookkeeping. Because the replay preserves pop order and the
-//!   precomputed verdicts depend only on state the decision pass never
-//!   mutates, every write lands in the seed's exact sequence.
+//! * **Batched stepping.** [`Session::step`] pops one equal-time batch of
+//!   deliveries and handles each event in full, in pop order. The queue
+//!   pops by time, then by scheduling order, so a batch reorders nothing:
+//!   it is exactly the run of events a one-event-at-a-time loop would pop.
 //!
 //! None of this changes any simulated outcome: reports are bit-identical
 //! to the seed's (see `crates/bench/tests/sim_parity.rs` and DESIGN.md).
@@ -152,9 +144,6 @@ pub struct SimScratch {
     drop_cause: Vec<FailureCause>,
     /// Compiled fault-plan state (timed events) and oracle buffers.
     faults: FaultScratch,
-    /// The staged decision pass's batch buffer: each equal-time delivery
-    /// with its precomputed fault verdict (`Some(cause)` = dropped).
-    staged: Vec<(NodeId, MulticastPacket, Option<FailureCause>)>,
 }
 
 impl SimScratch {
@@ -278,7 +267,6 @@ pub struct Session<'a> {
     has_events: bool,
     has_duty: bool,
     has_churn: bool,
-    use_staged: bool,
     events_processed: usize,
     decisions: usize,
     done: bool,
@@ -311,13 +299,11 @@ impl<'a> Session<'a> {
             forwards,
             drop_cause,
             faults,
-            staged,
         } = &mut scratch;
         queue.reset();
         on_air.clear();
         deliveries.clear();
         forwards.clear();
-        staged.clear();
 
         // Failure injection: sample the Bernoulli dead nodes (never the
         // source, so the task can at least start), then apply the fault
@@ -365,12 +351,6 @@ impl<'a> Session<'a> {
             protocol.on_packet(&ctx, initial, forwards);
         }
 
-        // The staged pass applies when nothing between a pop and its
-        // forwards draws RNG: collisions off (no backoff draws, no on-air
-        // bookkeeping) and zero jitter (no send-time draws). The paper's
-        // default configuration qualifies; collision/jitter runs take the
-        // interleaved step, which handles retransmission.
-        let use_staged = !config.collisions && config.tx_jitter_s == 0.0;
         let mut session = Session {
             topo,
             config,
@@ -382,7 +362,6 @@ impl<'a> Session<'a> {
             has_events,
             has_duty,
             has_churn,
-            use_staged,
             events_processed: 0,
             // The initial packet was one routing decision.
             decisions: 1,
@@ -392,21 +371,42 @@ impl<'a> Session<'a> {
         session
     }
 
-    /// Advances the session by one unit of simulated work — the entire
-    /// next equal-time event batch in staged mode (collisions off, zero
-    /// jitter: the paper's default), or a single event otherwise — and
+    /// Advances the session by one equal-time batch of events and
     /// returns `true` once no work remains (then call
     /// [`Session::finish`]).
+    ///
+    /// Each event of the batch is handled in full, in pop order: the
+    /// event budget, the fault verdict, the collision/retry check, then
+    /// delivery. Every event scheduled meanwhile arrives strictly later
+    /// (airtime > 0, jitter ≥ 0, a retry waits at least its airtime), and
+    /// equal times pop in scheduling order anyway, so batching changes
+    /// only how much work one call does — never the order of any write.
     pub fn step(&mut self, protocol: &mut dyn Protocol) -> bool {
         if self.done {
             return true;
         }
-        if self.use_staged {
-            self.step_staged(protocol);
-        } else {
-            self.step_interleaved(protocol);
+        let Some((time, mut event)) = self.scratch.queue.pop() else {
+            self.done = true;
+            return true;
+        };
+        loop {
+            self.events_processed += 1;
+            if self.events_processed > self.config.max_events {
+                // The tripping event is discarded unprocessed.
+                self.report.truncated = true;
+                self.done = true;
+                return true;
+            }
+            self.handle(protocol, time, event);
+            // Bitwise time equality: ±0.0 (ordered by `total_cmp` in the
+            // heap) must not be merged into one batch.
+            match self.scratch.queue.peek_time() {
+                Some(t) if t.to_bits() == time.to_bits() => {
+                    event = self.scratch.queue.pop().expect("peeked").1;
+                }
+                _ => return false,
+            }
         }
-        self.done
     }
 
     /// Task-local simulated time of the next pending event; `None` when
@@ -418,11 +418,6 @@ impl<'a> Session<'a> {
         } else {
             self.scratch.queue.peek_time()
         }
-    }
-
-    /// `true` once [`Session::step`] has exhausted the session's work.
-    pub fn is_done(&self) -> bool {
-        self.done
     }
 
     /// Routing decisions made so far ([`Protocol::on_packet`] calls,
@@ -474,80 +469,9 @@ impl<'a> Session<'a> {
         (self.report, self.scratch)
     }
 
-    /// One equal-time batch of the staged two-phase pass.
-    ///
-    /// Phase A pops the whole equal-time batch, doing exactly the work
-    /// whose order is pinned to pop order — the event budget, fault-state
-    /// advancement, and the liveness/loss verdicts (including their RNG
-    /// draws). Phase B replays the batch in that same pop order, doing
-    /// everything else: delivery bookkeeping, the routing decision,
-    /// dispatch. The verdicts read only state phase B never touches
-    /// (`alive`, the fault tables, the RNG), so splitting the loop
-    /// reorders no write — it only groups the protocol's Steiner-tree
-    /// work into one cache-warm run per batch.
-    ///
-    /// Batching is sound because every phase-B forward arrives strictly
-    /// later than the batch time (airtime > 0, jitter 0): the batch is
-    /// precisely the set of events the interleaved loop would pop before
-    /// any event it schedules.
-    fn step_staged(&mut self, protocol: &mut dyn Protocol) {
-        let Some((time, first)) = self.scratch.queue.pop() else {
-            self.done = true;
-            return;
-        };
-        // The batch buffer leaves the scratch for the batch so the
-        // per-event helpers can borrow the whole session; taking a `Vec`
-        // allocates nothing, and its capacity comes back below.
-        let mut staged = std::mem::take(&mut self.scratch.staged);
-        let mut event = first;
-        loop {
-            self.events_processed += 1;
-            if self.events_processed > self.config.max_events {
-                // The tripping event is discarded unprocessed — the
-                // interleaved loop breaks at the same point, with the
-                // rest of the batch already dispatched.
-                self.report.truncated = true;
-                break;
-            }
-            let Event::Deliver {
-                to, from, packet, ..
-            } = event;
-            let verdict = self.fault_verdict(from, to, time);
-            staged.push((to, packet, verdict));
-            // Bitwise time equality: ±0.0 (ordered by `total_cmp` in the
-            // heap) must not be merged into one batch.
-            match self.scratch.queue.peek_time() {
-                Some(t) if t.to_bits() == time.to_bits() => {
-                    event = self.scratch.queue.pop().expect("peeked").1;
-                }
-                _ => break,
-            }
-        }
-        for (to, packet, verdict) in staged.drain(..) {
-            match verdict {
-                Some(cause) => self.drop_copy(&packet.dests, cause),
-                None => self.deliver(protocol, to, time, packet),
-            }
-        }
-        self.scratch.staged = staged;
-        if self.report.truncated {
-            self.done = true;
-        }
-    }
-
-    /// One event of the interleaved loop (collision model and/or jitter
-    /// active).
-    fn step_interleaved(&mut self, protocol: &mut dyn Protocol) {
-        let Some((time, event)) = self.scratch.queue.pop() else {
-            self.done = true;
-            return;
-        };
-        self.events_processed += 1;
-        if self.events_processed > self.config.max_events {
-            self.report.truncated = true;
-            self.done = true;
-            return;
-        }
+    /// Handles one popped event at `time`: the fault verdict, then the
+    /// collision model, then delivery.
+    fn handle(&mut self, protocol: &mut dyn Protocol, time: f64, event: Event) {
         let Event::Deliver {
             to,
             from,
@@ -1273,9 +1197,9 @@ mod tests {
     #[test]
     fn manually_stepped_session_matches_one_shot_run() {
         // Drive a Session by hand — begin / step-until-done / finish —
-        // across staged (paper default) and interleaved (collisions)
-        // configurations; the report must be bit-identical to
-        // run_with_scratch, and next_time() must be non-decreasing.
+        // across the paper default, collisions with jitter, and link
+        // loss; the report must be bit-identical to run_with_scratch, and
+        // next_time() must be non-decreasing.
         let topo = line_topology(7);
         let configs = [
             line_config(),
