@@ -1,5 +1,7 @@
-//! Steiner-tree machinery micro-benchmarks: the `O(n² log n)` growth of
-//! rrSTR (Section 4.2), the 3-point Fermat kernel, MST, and KMB.
+//! Steiner-tree machinery micro-benchmarks: the growth of rrSTR with the
+//! destination count (Section 4.2 bounds it at `O(n² log n)`; the row-
+//! maximum selection runs in `O(n²)` on these inputs), the 3-point Fermat
+//! kernel, MST, and KMB.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gmp_geom::fermat::fermat_point;
@@ -7,7 +9,8 @@ use gmp_geom::Point;
 use gmp_steiner::kmb::kmb;
 use gmp_steiner::mst::euclidean_mst;
 use gmp_steiner::ratio::reduction_ratio;
-use gmp_steiner::rrstr::{rrstr, RadioRange};
+use gmp_steiner::rrstr::{rrstr, rrstr_into, RadioRange, RrstrScratch};
+use gmp_steiner::SteinerTree;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -49,7 +52,7 @@ fn bench_rrstr(c: &mut Criterion) {
             b.iter(|| rrstr(Point::new(500.0, 500.0), &dests, RadioRange::Ignored))
         });
         // The audited O(n³) reference implementation: quantifies what the
-        // priority queue buys (Section 4.2's complexity argument).
+        // row-maximum selection buys (Section 4.2's complexity argument).
         if n <= 25 {
             group.bench_with_input(BenchmarkId::new("reference", n), &n, |b, _| {
                 b.iter(|| {
@@ -61,6 +64,40 @@ fn bench_rrstr(c: &mut Criterion) {
                 })
             });
         }
+    }
+    group.finish();
+}
+
+/// The forwarding hot path's cost: `rrstr_into` through one warm scratch
+/// and tree, over 2,000 sets of a random source and `k` random
+/// destinations in 1000 m × 1000 m, one set per iteration. The `rrstr`
+/// group above allocates fresh scratch on every call instead.
+fn bench_rrstr_into(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rrstr_into");
+    for k in [2usize, 5, 12, 25] {
+        let mut rng = StdRng::seed_from_u64(0x5EED ^ k as u64);
+        let sets: Vec<(Point, Vec<Point>)> = (0..2000)
+            .map(|_| {
+                let mut point =
+                    || Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..1000.0));
+                (point(), (0..k).map(|_| point()).collect())
+            })
+            .collect();
+        let mode = RadioRange::Aware(150.0);
+        let mut tree = SteinerTree::new(Point::ORIGIN);
+        let mut scratch = RrstrScratch::new();
+        for (source, dests) in &sets {
+            rrstr_into(*source, dests, mode, &mut tree, &mut scratch);
+        }
+        group.bench_with_input(BenchmarkId::new("warm", k), &k, |b, _| {
+            let mut i = 0;
+            b.iter(|| {
+                let (source, dests) = &sets[i % sets.len()];
+                i += 1;
+                rrstr_into(*source, dests, mode, &mut tree, &mut scratch);
+                tree.len()
+            })
+        });
     }
     group.finish();
 }
@@ -94,5 +131,11 @@ fn bench_mst_kmb(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fermat, bench_rrstr, bench_mst_kmb);
+criterion_group!(
+    benches,
+    bench_fermat,
+    bench_rrstr,
+    bench_rrstr_into,
+    bench_mst_kmb
+);
 criterion_main!(benches);

@@ -641,8 +641,10 @@ fn timed_workload(traffic: impl Into<Json>, cache: impl Into<Json>) -> Json {
 /// The decision-throughput workload behind `BENCH_1.json`: the source
 /// decisions of 30 paper-topology tasks replayed through one warmed
 /// [`gmp_core::DecisionScratch`] and decision cache, with the allocation
-/// counter read around the timed trials (see [`decision_probe`]).
+/// counter read around the timed trials (see [`decision_probe`]), and the
+/// same decisions behind a capacity-0 cache, which rebuilds every one.
 fn run_bench(args: &Args) {
+    use gmp_core::{CacheConfig, ConcurrentTreeCache};
     use gmp_net::Topology;
     use gmp_sim::MulticastTask;
 
@@ -656,14 +658,24 @@ fn run_bench(args: &Args) {
         tasks.len()
     );
     let alloc_counter = || ALLOCS.load(Ordering::SeqCst);
-    let (decisions_per_sec, allocs_per_decision, cache) =
-        decision_probe(&topo, &tasks, Some(&alloc_counter));
+    let (decisions_per_sec, allocs_per_decision, cache) = decision_probe(
+        &topo,
+        &tasks,
+        &ConcurrentTreeCache::new(),
+        Some(&alloc_counter),
+    );
+    let no_cache = ConcurrentTreeCache::with_config(CacheConfig {
+        capacity: 0,
+        ..CacheConfig::default()
+    });
+    let (uncached_per_sec, _, _) = decision_probe(&topo, &tasks, &no_cache, None);
     let record = bench1_record(
         config.node_count,
         tasks.len(),
         decisions_per_sec,
         allocs_per_decision,
         cache,
+        uncached_per_sec,
     );
     write_record(&args.out, "BENCH_1.json", record);
     run_bench2(args);
@@ -675,6 +687,7 @@ fn bench1_record(
     decisions_per_sec: Spread,
     allocs_per_decision: Option<f64>,
     cache: CacheStats,
+    uncached_per_sec: Spread,
 ) -> Json {
     let mut workload = timed_workload("replay", "warm");
     workload.push("nodes", nodes);
@@ -682,11 +695,15 @@ fn bench1_record(
     workload.push("k_values", BENCH1_KS.into_iter().collect::<Json>());
     workload.push("tasks", tasks);
     obj! {
-        "schema": "gmp-bench/1.1",
+        "schema": "gmp-bench/1.2",
         "workload": workload,
         "decisions_per_sec": decisions_per_sec,
         "allocs_per_decision": allocs_per_decision,
         "decision_cache": cache,
+        "uncached": obj! {
+            "workload": timed_workload("fresh", "off"),
+            "decisions_per_sec": uncached_per_sec,
+        },
     }
 }
 
@@ -1187,7 +1204,14 @@ mod tests {
 
     #[test]
     fn bench1_record_schema() {
-        let r = bench1_record(1000, 30, spread(), Some(0.0), CacheStats::default());
+        let r = bench1_record(
+            1000,
+            30,
+            spread(),
+            Some(0.0),
+            CacheStats::default(),
+            spread(),
+        );
         assert_eq!(
             keys(&r),
             [
@@ -1195,10 +1219,11 @@ mod tests {
                 "workload",
                 "decisions_per_sec",
                 "allocs_per_decision",
-                "decision_cache"
+                "decision_cache",
+                "uncached"
             ]
         );
-        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/1.1"));
+        assert_eq!(field(&r, "schema"), &Json::from("gmp-bench/1.2"));
         assert_labelled(&r);
         assert_eq!(
             field(field(&r, "workload"), "traffic"),
@@ -1207,6 +1232,13 @@ mod tests {
         assert_spreads(&r, &["decisions_per_sec"]);
         assert_eq!(field(&r, "allocs_per_decision"), &Json::Num(0.0));
         cache_keys(field(&r, "decision_cache"));
+        let uncached = field(&r, "uncached");
+        assert_eq!(keys(uncached), ["workload", "decisions_per_sec"]);
+        assert_labelled(uncached);
+        let w = field(uncached, "workload");
+        assert_eq!(field(w, "traffic"), &Json::from("fresh"));
+        assert_eq!(field(w, "cache"), &Json::from("off"));
+        assert_spreads(uncached, &["decisions_per_sec"]);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! [`rrstr_reference`] transcribes Figure 3 of the paper with linear
 //! scans and no caching — `O(n³)` per tree but simple enough to audit
 //! line-by-line against the pseudocode. The production
-//! [`rrstr`](crate::rrstr::rrstr) (lazy priority queue, `O(n² log n)`)
-//! is property-tested to produce *identical* trees, so any future
+//! [`rrstr`](crate::rrstr::rrstr) (lazy bounds, best-partner selection,
+//! `O(n²)` on random inputs) is property-tested to produce *identical*
+//! trees, so any future
 //! optimization of the fast path is pinned to this executable
 //! specification.
 

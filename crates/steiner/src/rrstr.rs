@@ -15,12 +15,20 @@
 //! Where the Figure 3 pseudocode and the Section 3.3 prose disagree, this
 //! implementation follows the pseudocode (see DESIGN.md).
 //!
-//! Complexity: `O(n² log n)` for `n` destinations, matching Section 4.2 —
-//! pairs live in a lazily-invalidated priority queue keyed by reduction
-//! ratio; each of the ≤ `n − 1` virtual destinations inserts `O(n)` new
-//! pairs.
-
-use std::collections::BinaryHeap;
+//! Complexity: Section 4.2 bounds rrSTR at `O(n² log n)` for `n`
+//! destinations, the cost of a priority queue over the `O(n²)` pairs.
+//! There is no queue and no sort here. Pair priorities live in a
+//! triangular matrix, and each vertex caches its best partner (the
+//! dynamic closest-pair scheme of agglomerative clustering; Eppstein,
+//! ACM JEA 2000). A selection scans the `O(n)` row maxima, and a changed
+//! row is rescanned in `O(n)`. Filling the matrix is `O(n²)`, and so are
+//! the `n − 1` merges with their selections. On top of that, each exact
+//! evaluation and each surfacing of a stale row maximum costs one row
+//! rescan plus one more selection. On uniform random inputs both happen
+//! `O(n)` times (about 35 and 17 times at `n = 25`), which makes a run
+//! `O(n²)`. An adversarial input could make either happen `O(n²)` times,
+//! for `O(n³)`: the sort is gone, but the paper's worst-case bound is
+//! not guaranteed.
 
 use gmp_geom::Point;
 
@@ -37,117 +45,90 @@ pub enum RadioRange {
     Ignored,
 }
 
-/// A candidate pair, packed into one integer so the sort and both queues
-/// compare machine words instead of running a three-branch struct
-/// comparator. Layout, most significant first:
-///
-/// ```text
-/// [ mapped ratio : 64 ][ !u : 16 ][ !v : 16 ][ payload : 32 ]
-/// ```
-///
-/// The ratio occupies the high bits through the order-preserving bijection
+/// Maps a ratio onto a `u64` through the order-preserving bijection
 /// between `f64`s under `total_cmp` and `u64`s (flip all bits of
-/// negatives, flip the sign bit of positives), so `u128 >` reproduces
-/// "higher ratio first". The complemented vertex ids reproduce the
-/// "smaller id first" tiebreak. The payload (exact flag + Fermat-cache
-/// index, see [`RrstrScratch::fermat`]) takes no part in the ordering
-/// semantics: two live entries can never agree on `(ratio, u, v)` — every
-/// unordered pair enters the queue at most once as a bound and once,
-/// *after* that bound was consumed, as an exact re-queue — so the payload
-/// bits never decide a comparison between live entries.
-///
-/// Invalidation needs no per-pair bookkeeping at all: within a run a
-/// vertex is deactivated at most once and never reactivated — so a popped
-/// entry is valid iff both endpoints are still active, and a dropped entry
-/// is retired for good simply by not re-queuing it.
-///
-/// Pairs enter the queue with a cheap *upper bound* on their ratio
-/// (payload 0); the exact ratio is only computed when the entry surfaces
-/// while both endpoints are still active, at which point it is either
-/// taken immediately (if it still beats the queue) or re-queued with the
-/// exact flag set and its Steiner point parked in the Fermat cache. Most
-/// pairs go stale before ever surfacing, so they never pay for a Fermat
-/// evaluation.
-type PairKey = u128;
-
-const EXACT_FLAG: u32 = 1 << 31;
-
-/// Packs `(ratio, u, v, payload)` into a [`PairKey`].
+/// negatives, flip the sign bit of positives), so `u64 >` is "higher
+/// ratio". No finite ratio maps to `0`, which marks a dead pair.
 #[inline]
-fn pair_key(ratio: f64, u: u16, v: u16, payload: u32) -> PairKey {
+fn ratio_key(ratio: f64) -> u64 {
     let b = ratio.to_bits();
-    let mapped = b ^ (((b as i64 >> 63) as u64) | (1 << 63));
-    ((mapped as u128) << 64) | (((!u) as u128) << 48) | (((!v) as u128) << 32) | payload as u128
+    b ^ (((b as i64 >> 63) as u64) | (1 << 63))
 }
 
-/// The ratio a key was packed with, exactly (the mapping is a bijection).
-#[inline]
-fn key_ratio(key: PairKey) -> f64 {
-    let mapped = (key >> 64) as u64;
-    f64::from_bits(if mapped >> 63 == 1 {
-        mapped ^ (1 << 63)
+/// The ratio a key was mapped from, exactly (the mapping is a bijection).
+fn key_ratio(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key ^ (1 << 63)
     } else {
-        !mapped
+        !key
     })
-}
-
-/// The `(u, v)` endpoints a key was packed with.
-#[inline]
-fn key_uv(key: PairKey) -> (VertexId, VertexId) {
-    (
-        (!(key >> 48) as u16) as VertexId,
-        (!(key >> 32) as u16) as VertexId,
-    )
-}
-
-/// The payload a key was packed with (exact flag + Fermat-cache index).
-#[inline]
-fn key_payload(key: PairKey) -> u32 {
-    key as u32
 }
 
 /// Reusable working state for [`rrstr_into`].
 ///
-/// The pair priority queue is split in two. The O(k²) initial pairs are
-/// known up front, so they live in a vector sorted once in descending
-/// priority order and consumed through a cursor: taking the next one is a
-/// cursor bump, and — crucially — skipping a stale one costs a flag read
-/// instead of a full heap sift (the overwhelming majority of entries go
-/// stale before surfacing). Only entries discovered *during* the merge
-/// loop (pairs against new virtual vertices, exact re-queues) go into a
-/// small side heap; the front of the combined queue is the larger of
-/// `sorted[cursor]` and the side heap's top, so the pop order — and with
-/// it every routing decision — is identical to a single global heap.
+/// Every live pair `(u, v)`, `u < v`, has one `u64` priority in `keys`,
+/// an upper-triangular matrix stored row by row. Row `u` holds the
+/// columns `v = u + 1 ..`, so a row rescan is a contiguous walk. A pair
+/// enters with a cheap *upper bound* on its ratio (Fermat slot 0) and is
+/// lowered in place to its exact ratio when it first surfaces as the
+/// best pair. Its Steiner point is then parked in `fermat`, and the slot
+/// remembers where. A pair dropped by a Section 3.3 branch is zeroed; a
+/// merged pair has a dead endpoint and is masked out (below).
+///
+/// Each row caches its maximum and the column holding it. The next pair
+/// is the largest row maximum, scanning rows in ascending `u` with a
+/// strict `>`. Rows are scanned in ascending `v` the same way. So ties
+/// fall to the smaller `u`, then the smaller `v`: the order the paper's
+/// pseudocode and [`crate::reference`] use.
+///
+/// A vertex's death touches nothing but its own row, which it zeroes.
+/// The other rows may still name it as their best partner. Such a cached
+/// maximum is too high, never too low, so it can only surface early. When
+/// it surfaces, its row is rescanned with the dead columns masked out,
+/// and the selection runs again.
+///
+/// The matrix is sized for the most vertices a run can make: `n`
+/// terminals and at most `n − 1` virtual junctions, so `(2n − 1)(2n − 2)
+/// / 2` slots. A slot takes 12 bytes: the 8-byte priority and the 4-byte
+/// Fermat slot. Only the slots of this run's vertices are read, and each
+/// is written before it is read, so what a larger earlier run left
+/// beyond them is never cleared.
 ///
 /// After a warm-up run of comparable size, rebuilding a tree through the
-/// same scratch performs no allocations: every buffer is cleared in place.
+/// same scratch performs no allocations.
 #[derive(Debug, Clone, Default)]
 pub struct RrstrScratch {
-    /// Initial pairs, descending; `sorted[cursor..]` are unconsumed.
-    sorted: Vec<PairKey>,
-    cursor: usize,
-    /// Entries born during the merge loop — O(k) of them, so the sifts
-    /// the initial pairs avoid stay cheap for the few that need them.
-    side: BinaryHeap<PairKey>,
-    /// Steiner points of exact re-queued entries, indexed by the key
-    /// payload: when such an entry finally wins the queue its Fermat
-    /// point is read back instead of re-derived (positions never change,
-    /// so the cached point is the same value the seed recomputed).
+    /// Pair priorities, mapped by [`ratio_key`]; `0` is a dead pair.
+    keys: Vec<u64>,
+    /// Per pair, same layout as `keys`: `0` while the priority is a
+    /// bound, else one more than the index of its Steiner point in
+    /// `fermat`.
+    fermat_slot: Vec<u32>,
+    /// Steiner points of pairs lowered to their exact ratio: when such a
+    /// pair wins, its point is read back instead of re-derived.
     fermat: Vec<Point>,
-    active: Vec<bool>,
+    /// Vertex ids one past the largest this run can make (`2n`); fixes
+    /// the row offsets of `keys`.
+    cap: usize,
+    /// Per vertex: the cached maximum of its row, `0` for a dead vertex
+    /// or an empty row.
+    row_best: Vec<u64>,
+    /// Per vertex: the column holding `row_best`.
+    row_arg: Vec<usize>,
+    /// Per vertex: all ones while active, zero once dead. Row rescans AND
+    /// it into the priorities to mask dead partners without a branch.
+    live: Vec<u64>,
+    /// Number of active vertices. Lets the merge loop stop as soon as
+    /// fewer than two are active.
+    active_count: usize,
     /// Per-vertex distance to the source, computed once at registration —
-    /// the bound in [`pair_entry`] reads two of these instead of taking
+    /// the bound in [`pair_bound`] reads two of these instead of taking
     /// two square roots per candidate pair, and the Section 3.3 branches
     /// reuse them for the spoke lengths.
     dist_s: Vec<f64>,
-    /// Number of `true` entries in `active`. Lets the merge loop stop as
-    /// soon as fewer than two vertices are active — at that point no
-    /// queued entry can be valid, and the O(k²) stale tail need not be
-    /// drained.
-    active_count: usize,
     /// SoA mirror of the destination coordinates (`xs[i], ys[i]` is
     /// vertex `i + 1`), feeding the batched geometry kernels: the
-    /// registration distances and the O(k²) initial pair bounds run
+    /// registration distances and the O(n²) initial pair bounds run
     /// through [`gmp_geom::dist_batch`] / [`crate::ratio::pair_bound_batch`]
     /// row by row instead of one scalar call per pair.
     xs: Vec<f64>,
@@ -167,23 +148,73 @@ impl RrstrScratch {
         RrstrScratch::default()
     }
 
-    /// Marks `v` inactive; every heap entry involving it is now stale.
+    /// Marks `v` inactive. Only its own row is cleared; see the type docs.
     #[inline]
     fn deactivate(&mut self, v: VertexId) {
-        debug_assert!(self.active[v]);
-        self.active[v] = false;
+        debug_assert!(self.live[v] != 0);
+        self.live[v] = 0;
+        self.row_best[v] = 0;
         self.active_count -= 1;
     }
 
-    /// Registers vertex `v`. Ids must fit the entry's 16-bit fields; at
-    /// rrSTR's O(n² log n) that bound is of no practical consequence.
+    /// Registers the new virtual vertex `v`, active, with an empty row.
     #[inline]
-    fn add_vertex(&mut self, v: VertexId, is_active: bool, dist_to_source: f64) {
-        debug_assert_eq!(self.active.len(), v);
-        assert!(v <= u16::MAX as usize, "rrstr vertex id overflows u16");
-        self.active.push(is_active);
-        self.active_count += usize::from(is_active);
+    fn add_virtual(&mut self, v: VertexId, dist_to_source: f64) {
+        debug_assert_eq!(self.live.len(), v);
+        self.live.push(u64::MAX);
+        self.active_count += 1;
         self.dist_s.push(dist_to_source);
+        self.row_best.push(0);
+        self.row_arg.push(0);
+    }
+
+    /// Index of pair `(u, v)`, `u < v`, in `keys`: row `u` starts after
+    /// rows `1..u`, which hold `cap − 2, cap − 3, …` columns.
+    #[inline]
+    fn slot(&self, u: VertexId, v: VertexId) -> usize {
+        debug_assert!(0 < u && u < v && v < self.cap);
+        (u - 1) * (self.cap - 1) - (u - 1) * u / 2 + (v - u - 1)
+    }
+
+    /// Recomputes row `u`'s maximum over its live columns `u + 1 .. len`.
+    #[inline]
+    fn rescan(&mut self, u: VertexId, len: usize) {
+        let start = self.slot(u, u + 1);
+        let row = &self.keys[start..start + (len - u - 1)];
+        let (mut best, mut arg) = (0, 0);
+        for (j, (&k, &live)) in row.iter().zip(&self.live[u + 1..len]).enumerate() {
+            let k = k & live;
+            if k > best {
+                best = k;
+                arg = j;
+            }
+        }
+        self.row_best[u] = best;
+        self.row_arg[u] = u + 1 + arg;
+    }
+
+    /// The live pair with the largest priority, ties to the smaller `u`
+    /// then the smaller `v`; `None` once no live pair is left. Rows whose
+    /// cached partner died are rescanned as they surface.
+    #[inline]
+    fn select(&mut self, len: usize) -> Option<(VertexId, VertexId)> {
+        loop {
+            let (mut best, mut u) = (0, 0);
+            for (i, &k) in self.row_best.iter().enumerate() {
+                if k > best {
+                    best = k;
+                    u = i;
+                }
+            }
+            if best == 0 {
+                return None;
+            }
+            let v = self.row_arg[u];
+            if self.live[v] != 0 {
+                return Some((u, v));
+            }
+            self.rescan(u, len);
+        }
     }
 }
 
@@ -221,8 +252,7 @@ pub fn rrstr(source: Point, dests: &[Point], mode: RadioRange) -> SteinerTree {
     tree
 }
 
-/// Builds the bound entry for the pair `(u, v)` in normalized (min, max)
-/// order. The bound:
+/// The bound priority of the pair `(u, v)`, `u < v`. The bound:
 /// any tree connecting `{s, a, b}` has length at least half the triangle
 /// perimeter (each pairwise distance is at most the path through the
 /// tree, and summing the three paths counts every edge at most twice), so
@@ -235,18 +265,16 @@ pub fn rrstr(source: Point, dests: &[Point], mode: RadioRange) -> SteinerTree {
 /// A `1e-9` margin keeps the bound above the exact ratio under floating-
 /// point rounding (the two are mathematically equal for collinear
 /// triples). The exact ratio and Fermat point are computed lazily when
-/// the entry surfaces still-valid in the merge loop.
+/// the pair surfaces as the best live pair.
 #[inline]
-fn pair_entry(scratch: &RrstrScratch, tree: &SteinerTree, u: VertexId, v: VertexId) -> PairKey {
-    let (a, b) = (u.min(v), u.max(v));
-    let (pa, pb) = (tree.pos(a), tree.pos(b));
-    let spokes = scratch.dist_s[a] + scratch.dist_s[b];
+fn pair_bound(scratch: &RrstrScratch, tree: &SteinerTree, u: VertexId, v: VertexId) -> u64 {
+    let spokes = scratch.dist_s[u] + scratch.dist_s[v];
     let bound = if spokes <= gmp_geom::EPS {
         0.5
     } else {
-        0.5 - pa.dist(pb) / (2.0 * spokes)
+        0.5 - tree.pos(u).dist(tree.pos(v)) / (2.0 * spokes)
     };
-    pair_key(bound + 1e-9, a as u16, b as u16, 0)
+    ratio_key(bound + 1e-9)
 }
 
 /// [`rrstr`] writing into a caller-owned tree and scratch: the per-packet
@@ -261,181 +289,150 @@ pub fn rrstr_into(
     scratch: &mut RrstrScratch,
 ) {
     tree.reset(source);
-    scratch.sorted.clear();
-    scratch.cursor = 0;
-    scratch.side.clear();
     scratch.fermat.clear();
-    scratch.active.clear();
-    scratch.dist_s.clear();
-    scratch.active_count = 0;
-    scratch.add_vertex(tree.root(), false, 0.0);
     let n = dests.len();
 
     // Mirror the destinations into SoA lanes once; the registration
     // distances and every initial pair bound then run through the batch
     // kernels. Each lane is bit-identical to the scalar expression it
-    // replaces (see `dist_batch` / `pair_bound_batch`), so the sorted
-    // pair order — and with it every merge — is unchanged.
+    // replaces (see `dist_batch` / `pair_bound_batch`), so the pair
+    // priorities — and with them every merge — are unchanged.
     scratch.xs.clear();
     scratch.ys.clear();
-    for &d in dests {
+    for (i, &d) in dests.iter().enumerate() {
         scratch.xs.push(d.x);
         scratch.ys.push(d.y);
+        tree.add_vertex(VertexKind::Terminal(i), d);
     }
-    scratch.batch_d.clear();
-    scratch.batch_d.resize(n, 0.0);
-    gmp_geom::dist_batch(source, &scratch.xs, &scratch.ys, &mut scratch.batch_d);
-    for (i, &d) in dests.iter().enumerate() {
-        let v = tree.add_vertex(VertexKind::Terminal(i), d);
-        debug_assert_eq!(v, i + 1);
-        let dist_to_source = scratch.batch_d[i];
-        scratch.add_vertex(v, true, dist_to_source);
-    }
+    // Register the inactive root and the `n` active terminals in bulk.
+    scratch.dist_s.clear();
+    scratch.dist_s.resize(n + 1, 0.0);
+    gmp_geom::dist_batch(source, &scratch.xs, &scratch.ys, &mut scratch.dist_s[1..]);
+    scratch.live.clear();
+    scratch.live.push(0);
+    scratch.live.resize(n + 1, u64::MAX);
+    scratch.row_best.clear();
+    scratch.row_best.resize(n + 1, 0);
+    scratch.row_arg.clear();
+    scratch.row_arg.resize(n + 1, 0);
+    scratch.active_count = n;
 
-    // Build the initial pair set as a flat vector and sort it descending
-    // in one O(k² log k) pass: consuming it is then a cache-friendly scan
-    // rather than k² heap sifts. Pairs are generated a row at a time —
-    // row `u` holds the lanes `v = u+1..=n` — through the batch kernels;
-    // `pair_entry`'s (min, max) normalization is the identity here since
-    // `u < v` throughout, and the `+ 1e-9` rounding margin is applied at
-    // pack time exactly as the scalar path does.
-    let mut pairs = std::mem::take(&mut scratch.sorted);
-    scratch.batch_b.clear();
-    scratch.batch_b.resize(n.saturating_sub(1), 0.0);
-    for u in 1..n {
-        let lanes = n - u;
-        let pu = tree.pos(u);
-        let du = scratch.dist_s[u];
-        gmp_geom::dist_batch(
-            pu,
-            &scratch.xs[u..],
-            &scratch.ys[u..],
-            &mut scratch.batch_d[..lanes],
-        );
-        scratch.batch_s.clear();
-        scratch
-            .batch_s
-            .extend(scratch.dist_s[u + 1..=n].iter().map(|&dv| du + dv));
-        pair_bound_batch(
-            &scratch.batch_d[..lanes],
-            &scratch.batch_s,
-            &mut scratch.batch_b[..lanes],
-        );
-        for (j, &bound) in scratch.batch_b[..lanes].iter().enumerate() {
-            let v = u + 1 + j;
-            pairs.push(pair_key(bound + 1e-9, u as u16, v as u16, 0));
+    // With at most two destinations the two-active endgame below decides
+    // everything, so the matrix is only built for three or more.
+    if n > 2 {
+        scratch.cap = 2 * n;
+        let slots = (scratch.cap - 1) * (scratch.cap - 2) / 2;
+        assert!(slots < u32::MAX as usize, "rrstr Fermat slots overflow u32");
+        if scratch.keys.len() < slots {
+            scratch.keys.resize(slots, 0);
+            scratch.fermat_slot.resize(slots, 0);
+        }
+        // Fill row `u` with the bounds of the lanes `v = u+1..=n` through
+        // the batch kernels, tracking the row maximum as it is written.
+        // The `+ 1e-9` rounding margin is applied exactly as `pair_bound`
+        // applies it.
+        scratch.batch_d.clear();
+        scratch.batch_d.resize(n - 1, 0.0);
+        scratch.batch_b.clear();
+        scratch.batch_b.resize(n - 1, 0.0);
+        for u in 1..n {
+            let lanes = n - u;
+            let pu = tree.pos(u);
+            let du = scratch.dist_s[u];
+            gmp_geom::dist_batch(
+                pu,
+                &scratch.xs[u..],
+                &scratch.ys[u..],
+                &mut scratch.batch_d[..lanes],
+            );
+            scratch.batch_s.clear();
+            scratch
+                .batch_s
+                .extend(scratch.dist_s[u + 1..=n].iter().map(|&dv| du + dv));
+            pair_bound_batch(
+                &scratch.batch_d[..lanes],
+                &scratch.batch_s,
+                &mut scratch.batch_b[..lanes],
+            );
+            let start = scratch.slot(u, u + 1);
+            let (mut best, mut arg) = (0, 0);
+            for (j, (key, &bound)) in scratch.keys[start..start + lanes]
+                .iter_mut()
+                .zip(&scratch.batch_b[..lanes])
+                .enumerate()
+            {
+                *key = ratio_key(bound + 1e-9);
+                if *key > best {
+                    best = *key;
+                    arg = j;
+                }
+            }
+            scratch.fermat_slot[start..start + lanes].fill(0);
+            scratch.row_best[u] = best;
+            scratch.row_arg[u] = u + 1 + arg;
         }
     }
-    pairs.sort_unstable_by(|a, b| b.cmp(a));
-    scratch.sorted = pairs;
 
     // Whether the two-active endgame below already consumed its pair.
     let mut endgame_taken = false;
     loop {
-        // Find the pair with the largest reduction ratio whose endpoints
-        // are both still active, skipping stale entries (lazy deletion —
-        // see [`PairKey`] for why the activity flags alone decide
-        // validity). With fewer than two active vertices every remaining
-        // entry is stale, so the O(k²) tail left in the queue after the
-        // final merge is skipped wholesale instead of drained pop by pop.
+        // The live pair with the largest reduction ratio, with its Steiner
+        // point, and whether it came from the matrix.
         let entry = if scratch.active_count < 2 {
             None
         } else if scratch.active_count == 2 {
-            // Endgame: exactly one live pair remains, so instead of
-            // draining the queue down to it, evaluate it directly. This
-            // is the identical decision the drain would reach: selection
-            // only ever yields this pair (every other entry is stale),
-            // the merge step below depends only on `(u, v, t)` — all
-            // recomputed from positions, bit-identically — and if the
-            // pair was already consumed *and dropped* by a Section 3.3
+            // Endgame: exactly one live pair remains, so evaluate it
+            // directly instead of selecting it. This is the identical
+            // decision the selection would reach: it could only yield
+            // this pair, the merge step below depends only on `(u, v, t)`
+            // — all recomputed from positions, bit-identically — and if
+            // the pair was already consumed *and dropped* by a Section 3.3
             // branch earlier, re-running that branch deterministically
             // re-drops it, after which the `endgame_taken` flag routes
             // straight to the terminal connect-to-root case exactly as
-            // the drained queue would. Merges only ever shrink the
-            // active count, so the flag can never mask a fresh pair.
+            // the selection would. Merges only ever shrink the active
+            // count, so the flag can never mask a fresh pair.
             if endgame_taken {
                 None
             } else {
                 endgame_taken = true;
-                let mut actives = scratch
-                    .active
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, &a)| a.then_some(i));
+                let mut actives = (1..tree.len()).filter(|&i| scratch.live[i] != 0);
                 let u = actives.next().expect("two active vertices");
                 let v = actives.next().expect("two active vertices");
                 let spokes = scratch.dist_s[u] + scratch.dist_s[v];
                 let exact = reduction_ratio_with_spokes(source, tree.pos(u), tree.pos(v), spokes);
-                Some((
-                    pair_key(exact.ratio, u as u16, v as u16, 0),
-                    exact.steiner.location,
-                ))
+                Some((u, v, exact.steiner.location, false))
             }
         } else {
             loop {
-                // Front of the combined queue: the larger of the sorted
-                // scan head and the side heap top (one integer compare —
-                // live entries never tie, see [`PairKey`]).
-                let take_sorted = match (scratch.sorted.get(scratch.cursor), scratch.side.peek()) {
-                    (None, None) => break None,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(s), Some(h)) => s > h,
+                let Some((u, v)) = scratch.select(tree.len()) else {
+                    break None;
                 };
-                let e = if take_sorted {
-                    let e = scratch.sorted[scratch.cursor];
-                    scratch.cursor += 1;
-                    e
-                } else {
-                    scratch.side.pop().expect("side checked non-empty")
-                };
-                let (eu, ev) = key_uv(e);
-                if !scratch.active[eu] || !scratch.active[ev] {
-                    continue; // stale — never pays for an evaluation
+                let i = scratch.slot(u, v);
+                let fermat = scratch.fermat_slot[i];
+                if fermat != 0 {
+                    break Some((u, v, scratch.fermat[fermat as usize - 1], true));
                 }
-                let payload = key_payload(e);
-                if payload & EXACT_FLAG != 0 {
-                    // Its Steiner point was cached when it was re-queued.
-                    break Some((e, scratch.fermat[(payload & !EXACT_FLAG) as usize]));
-                }
-                // A still-valid bound entry: evaluate the pair for real.
-                // If its exact ratio still strictly beats both queue
-                // fronts it beats every remaining pair (each entry's
-                // exact ratio is at most its bound), so take it now —
-                // carrying the just-computed Fermat point. On a tie,
-                // defer to the queue so the vertex-id tiebreak stays
-                // bit-identical; re-queue at the exact priority. The
-                // comparisons use the decoded `f64` ratios with plain
-                // `>`, exactly as the measure defines them (the packed
-                // total order would split the `±0.0` tie differently).
-                let spokes = scratch.dist_s[eu] + scratch.dist_s[ev];
-                let exact = reduction_ratio_with_spokes(source, tree.pos(eu), tree.pos(ev), spokes);
-                debug_assert!(exact.ratio <= key_ratio(e));
-                let beats_rest = [scratch.sorted.get(scratch.cursor), scratch.side.peek()]
-                    .into_iter()
-                    .flatten()
-                    .all(|&top| exact.ratio > key_ratio(top));
-                if beats_rest {
-                    let e = pair_key(exact.ratio, eu as u16, ev as u16, 0);
-                    break Some((e, exact.steiner.location));
-                }
-                let idx = scratch.fermat.len() as u32;
-                debug_assert!(idx & EXACT_FLAG == 0);
+                // A bound surfaced: lower it in place to the exact ratio,
+                // park the Steiner point, and select again. Every other
+                // pair's exact ratio is at most its priority, so the
+                // selection takes this pair next iff its exact ratio
+                // still wins, ties included.
+                let spokes = scratch.dist_s[u] + scratch.dist_s[v];
+                let exact = reduction_ratio_with_spokes(source, tree.pos(u), tree.pos(v), spokes);
+                debug_assert!(exact.ratio <= key_ratio(scratch.keys[i]));
                 scratch.fermat.push(exact.steiner.location);
-                scratch.side.push(pair_key(
-                    exact.ratio,
-                    eu as u16,
-                    ev as u16,
-                    EXACT_FLAG | idx,
-                ));
+                scratch.fermat_slot[i] = scratch.fermat.len() as u32;
+                scratch.keys[i] = ratio_key(exact.ratio);
+                scratch.rescan(u, tree.len());
             }
         };
-        let Some((e, t)) = entry else {
+        let Some((u, v, t, selected)) = entry else {
             // No distinct active pair remains: the pseudocode's terminal
             // `(u, u)` case — connect each remaining active vertex
             // directly to the source.
             for v in 1..tree.len() {
-                if scratch.active[v] {
+                if scratch.live[v] != 0 {
                     tree.add_edge(tree.root(), v);
                     scratch.deactivate(v);
                 }
@@ -443,7 +440,6 @@ pub fn rrstr_into(
             break;
         };
 
-        let (u, v) = key_uv(e);
         let (pu, pv) = (tree.pos(u), tree.pos(v));
 
         if t.almost_eq(source) {
@@ -469,13 +465,10 @@ pub fn rrstr_into(
             let via_t = t.dist(pu) + t.dist(pv);
             if du < rr && dv < rr {
                 // Both already one hop away; a junction only adds hops.
-                // Each unordered pair enters the heap exactly once (the
-                // initial double loop, or once against a brand-new virtual
-                // vertex), so simply dropping the popped entry retires the
-                // pair for good — no dead-pair set needed.
+                // The pair is dropped for good (below).
             } else if du < rr {
                 if rr + via_t > spokes {
-                    // Junction not worth a hop; drop the pair (see above).
+                    // Junction not worth a hop; drop the pair (below).
                 } else {
                     // Use u itself as the junction.
                     tree.add_edge(u, v);
@@ -483,7 +476,7 @@ pub fn rrstr_into(
                 }
             } else if dv < rr {
                 if rr + via_t > spokes {
-                    // Junction not worth a hop; drop the pair (see above).
+                    // Junction not worth a hop; drop the pair (below).
                 } else {
                     tree.add_edge(v, u);
                     scratch.deactivate(u);
@@ -500,6 +493,13 @@ pub fn rrstr_into(
         } else {
             create_virtual(tree, scratch, source, t, u, v);
         }
+        if selected && scratch.live[u] & scratch.live[v] != 0 {
+            // Dropped with both ends still active: retire the pair and
+            // refresh its row. A pair with a dead end is masked anyway.
+            let i = scratch.slot(u, v);
+            scratch.keys[i] = 0;
+            scratch.rescan(u, tree.len());
+        }
     }
 
     debug_assert!(tree.check_invariants().is_ok());
@@ -508,8 +508,8 @@ pub fn rrstr_into(
     debug_assert!(tree.all_attached());
 }
 
-/// Creates a virtual destination at `t` covering `u` and `v`, and enqueues
-/// its pairs against every still-active vertex.
+/// Creates a virtual destination `w` at `t` covering `u` and `v`, and
+/// writes the bounds of its pairs into column `w` of every active row.
 fn create_virtual(
     tree: &mut SteinerTree,
     scratch: &mut RrstrScratch,
@@ -523,12 +523,20 @@ fn create_virtual(
     tree.add_edge(w, v);
     scratch.deactivate(u);
     scratch.deactivate(v);
-    scratch.add_vertex(w, true, source.dist(t));
-    debug_assert_eq!(scratch.active.len(), tree.len());
+    scratch.add_virtual(w, source.dist(t));
+    debug_assert_eq!(scratch.live.len(), tree.len());
     for i in 1..w {
-        if scratch.active[i] {
-            let e = pair_entry(scratch, tree, w, i);
-            scratch.side.push(e);
+        if scratch.live[i] != 0 {
+            let key = pair_bound(scratch, tree, i, w);
+            let s = scratch.slot(i, w);
+            scratch.keys[s] = key;
+            scratch.fermat_slot[s] = 0;
+            // Column `w` is the row's last, so it takes the row only on a
+            // strictly larger priority: equal ones keep the smaller `v`.
+            if key > scratch.row_best[i] {
+                scratch.row_best[i] = key;
+                scratch.row_arg[i] = w;
+            }
         }
     }
 }
@@ -754,14 +762,16 @@ mod proptests {
         #[test]
         fn scratch_reuse_is_bit_identical(
             runs in proptest::collection::vec(
-                (points(12), (0.0..1000.0f64, 0.0..1000.0f64), proptest::bool::ANY),
-                1..6,
+                (points(81), (0.0..1000.0f64, 0.0..1000.0f64), proptest::bool::ANY),
+                2..8,
             ),
         ) {
             // One scratch and tree carried across a whole sequence of
-            // differently-sized builds: every rebuild must be bit-identical
-            // to a fresh-allocation run (vertices, edges, and lengths),
-            // regardless of what earlier runs left in the buffers.
+            // builds whose sizes grow and shrink over k ∈ 1..=80: every
+            // rebuild must be bit-identical to a fresh-allocation run
+            // (vertices, edges, and lengths). A smaller build after a
+            // larger one runs over the stale matrix slots the larger one
+            // left behind, so this pins that they are never read.
             let mut tree = SteinerTree::new(Point::ORIGIN);
             let mut scratch = RrstrScratch::new();
             for (dests, (sx, sy), aware) in runs {

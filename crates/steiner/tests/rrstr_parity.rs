@@ -1,19 +1,20 @@
-//! Behavior pin for the packed-key rrSTR queues.
+//! Behavior pin for the production rrSTR.
 //!
-//! `seed_ref` is a faithful replica of the previous implementation: 16-byte
-//! struct entries with a three-way `total_cmp` comparator, a side heap of
-//! the same entries, and a Fermat re-derivation when a re-queued exact
-//! entry finally wins. The optimized implementation packs entries into one
-//! `u128` compared as an integer and caches the Steiner point of re-queued
-//! entries; neither change may alter a single merge decision, so the trees
-//! must be bit-identical on every input.
+//! `seed_ref` is a faithful replica of an earlier implementation: 16-byte
+//! struct entries in a sorted vector and a side heap, compared by a
+//! three-way `total_cmp` comparator, with a Fermat re-derivation when a
+//! re-queued exact entry finally wins. The production implementation
+//! selects pairs from per-row maxima of a priority matrix instead and
+//! caches the Steiner point of every exact evaluation; neither change may
+//! alter a single merge decision, so the trees must be bit-identical on
+//! every input, exact ratio ties included.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use gmp_geom::Point;
 use gmp_steiner::reduction_ratio;
-use gmp_steiner::rrstr::{rrstr, RadioRange};
+use gmp_steiner::rrstr::{rrstr, rrstr_into, RadioRange, RrstrScratch};
 use gmp_steiner::tree::{SteinerTree, VertexId, VertexKind};
 
 mod seed_ref {
@@ -231,7 +232,8 @@ mod seed_ref {
     }
 }
 
-fn assert_identical(source: Point, dests: &[Point], mode: RadioRange) {
+/// Asserts `rrstr` builds the `seed_ref` tree bit for bit, and returns it.
+fn assert_identical(source: Point, dests: &[Point], mode: RadioRange) -> SteinerTree {
     let reference = seed_ref::rrstr(source, dests, mode);
     let optimized = rrstr(source, dests, mode);
     assert_eq!(
@@ -244,6 +246,7 @@ fn assert_identical(source: Point, dests: &[Point], mode: RadioRange) {
         reference.total_length().to_bits(),
         "lengths diverged bitwise"
     );
+    reference
 }
 
 #[test]
@@ -324,4 +327,86 @@ fn clustered_cases_stress_the_requeue_path() {
             assert_identical(Point::new(10.0, 10.0), &dests, mode);
         }
     }
+}
+
+/// A deterministic LCG in `[0, 1)`, so the pins reproduce without rand.
+fn lcg(mut seed: u64) -> impl FnMut() -> f64 {
+    move || {
+        seed = seed
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (seed >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+#[test]
+fn tie_heavy_cases_are_bit_identical() {
+    // Continuous random inputs almost never tie exactly, yet ties are
+    // what the vertex-id tiebreak decides. These inputs tie on purpose:
+    // lattice points (equal distances and angles), mirror images about
+    // the source (equal pair ratios), and repeated points (zero-length
+    // pairs). The radio ranges put lattice spacings exactly on the
+    // Section 3.3 `d < rr` boundaries. One scratch is carried through
+    // every case while `k` sweeps up and down over 1..=80, so each build
+    // also runs over what larger and smaller builds left behind.
+    let mut next = lcg(0x7e57_71e5);
+    let source = Point::new(500.0, 500.0);
+    let modes = [
+        RadioRange::Aware(100.0),
+        RadioRange::Aware(150.0),
+        RadioRange::Aware(100.0 * std::f64::consts::SQRT_2),
+        RadioRange::Ignored,
+    ];
+    let mut tree = SteinerTree::new(Point::ORIGIN);
+    let mut scratch = RrstrScratch::new();
+    let mut cases = 0;
+    for pass in 0..8 {
+        for step in 0..80 {
+            let k = if pass % 2 == 0 { 1 + step } else { 80 - step };
+            let spacing = [50.0, 100.0][(pass + step) % 2];
+            let mut lattice = || {
+                let i = (next() * 11.0).floor() - 5.0;
+                let j = (next() * 11.0).floor() - 5.0;
+                Point::new(source.x + spacing * i, source.y + spacing * j)
+            };
+            let grid: Vec<Point> = (0..k).map(|_| lattice()).collect();
+            let mut mirrored = Vec::new();
+            while mirrored.len() < k {
+                let p = lattice();
+                let (dx, dy) = (p.x - source.x, p.y - source.y);
+                let off = Point::new(p.x + 0.37 * spacing, p.y + 0.11 * spacing);
+                let (ox, oy) = (off.x - source.x, off.y - source.y);
+                for q in [
+                    p,
+                    Point::new(source.x - dx, source.y + dy),
+                    Point::new(source.x + dx, source.y - dy),
+                    Point::new(source.x - dx, source.y - dy),
+                    off,
+                    Point::new(source.x - ox, source.y + oy),
+                    Point::new(source.x + ox, source.y - oy),
+                    Point::new(source.x - ox, source.y - oy),
+                ] {
+                    mirrored.push(q);
+                }
+            }
+            mirrored.truncate(k);
+            let distinct = k.div_ceil(3);
+            let mut repeated: Vec<Point> = (0..distinct)
+                .map(|_| Point::new(next() * 1000.0, next() * 1000.0))
+                .collect();
+            while repeated.len() < k {
+                let pick = repeated[(next() * repeated.len() as f64) as usize];
+                repeated.push(pick);
+            }
+            for dests in [&grid, &mirrored, &repeated] {
+                for mode in modes {
+                    let reference = assert_identical(source, dests, mode);
+                    rrstr_into(source, dests, mode, &mut tree, &mut scratch);
+                    assert_eq!(tree, reference, "reused scratch diverged at k = {k}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(cases, 8 * 80 * 3 * 4);
 }
